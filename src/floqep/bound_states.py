@@ -1,8 +1,9 @@
 """Bound vibrational levels of single-channel radial potentials.
 
-Shooting solver on a uniform grid: Numerov propagation outward and inward,
-eigenvalues bracketed by node counting (Sturm-safe, no missed or duplicated
-levels) and polished by the matching-derivative Newton correction.  Used for
+Shooting solver on a uniform grid: the outward and inward Numerov branches
+come from tridiagonal boundary-value solves, eigenvalues are bracketed by node
+counting (Sturm-safe, no missed or duplicated levels) and polished by the
+matching-derivative (Cooley) Newton correction.  Used for
 field-free diabatic levels and for quasi-bound levels of the upper adiabatic
 potential treated as a plain well with a box boundary.
 """
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv as _dgtsv
 
 from .errors import ConvergenceError, ModelError
 from .molecule import FieldPoint, MoleculeModel, adiabatic_potentials
@@ -46,7 +48,7 @@ class LevelSet(list):
 
 
 class _Shooter:
-    """Numerov propagation machinery for one potential on one grid.
+    """Numerov shooting machinery for one potential on one grid.
 
     Works on the shifted potential (reference already subtracted), so the
     dissociation cap sits at 0 when the reference is the asymptote.
@@ -62,23 +64,28 @@ class _Shooter:
     def _f(self, e: float) -> np.ndarray:
         return 1.0 - self.c2 * (self.v - e)
 
+    def _boundary_value(self, f: np.ndarray, lo: int, hi: int,
+                        left: float, right: float) -> np.ndarray:
+        """psi_{lo-1}..psi_{hi+1} solving the Numerov rows lo..hi, with psi_{lo-1}
+        = left and psi_{hi+1} = right pinned (one tridiagonal solve)."""
+        b = np.zeros((hi - lo + 1, 1))
+        b[0, 0] += f[lo - 1] * left
+        b[-1, 0] += f[hi + 1] * right
+        *_, x, info = _dgtsv(-f[lo:hi], 12.0 - 10.0 * f[lo:hi + 1], -f[lo + 1:hi + 1], b,
+                             overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        if info:
+            raise ConvergenceError("singular Numerov boundary-value problem")
+        return np.concatenate(([left], x[:, 0], [right]))
+
     def count_nodes(self, e: float) -> int:
         """Sign changes of the left-regular solution across the box; equals
-        the number of box eigenvalues below e."""
-        f = self._f(e)
-        a = ((12.0 - 10.0 * f[1:-1]) / f[2:]).tolist()
-        b = (f[:-2] / f[2:]).tolist()
-        p0, p1 = 0.0, 1.0
-        nodes = 0
-        for ak, bk in zip(a, b):
-            p2 = ak * p1 - bk * p0
-            if abs(p2) > 1e250:
-                p1 *= 1e-250
-                p2 *= 1e-250
-            if p1 * p2 < 0.0:
-                nodes += 1
-            p0, p1 = p1, p2
-        return nodes
+        the number of box eigenvalues below e.
+
+        The boundary-value solution with psi_0 = 0, psi_{n-1} = 1 is that
+        solution rescaled, so it changes sign at the same places.
+        """
+        psi = np.sign(self._boundary_value(self._f(e), 1, self.n - 2, 0.0, 1.0)[1:])
+        return int(np.count_nonzero(psi[:-1] * psi[1:] < 0.0))
 
     def _match_index(self, e: float) -> int:
         allowed = np.nonzero(self.v < e)[0]
@@ -89,25 +96,16 @@ class _Shooter:
         """Matching-derivative (Cooley) energy correction at e."""
         f = self._f(e)
         fl = f.tolist()
-        n = self.n
         m0 = self._match_index(e)
 
-        out = [0.0, 1.0]   # out[k] lives on grid index k, filled to m0 + 3
-        for k in range(1, m0 + 3):
-            p2 = ((12.0 - 10.0 * fl[k]) * out[k] - fl[k - 1] * out[k - 1]) / fl[k + 1]
-            if abs(p2) > 1e200:
-                out = [x * 1e-200 for x in out]
-                p2 *= 1e-200
-            out.append(p2)
-
-        inw = [0.0, 1.0]   # stored right to left from grid index n-1 down to m0-1
-        for j, k in enumerate(range(n - 2, m0 - 1, -1)):
-            q2 = ((12.0 - 10.0 * fl[k]) * inw[j + 1] - fl[k + 1] * inw[j]) / fl[k - 1]
-            if abs(q2) > 1e200:
-                inw = [x * 1e-200 for x in inw]
-                q2 *= 1e-200
-            inw.append(q2)
-        inw.reverse()      # inw[j] lives on grid index m0 - 1 + j
+        # the outward branch on grid indices 0..m0+2 and the inward one on
+        # m0-1..n-1, in the shooting normalisation out[1] = inw[n-2] = 1
+        out = self._boundary_value(f, 1, m0 + 1, 0.0, 1.0)
+        inw = self._boundary_value(f, m0, self.n - 2, 1.0, 0.0)
+        if out[1] == 0.0 or inw[-2] == 0.0:
+            raise ConvergenceError("a shooting branch underflowed at its wall", last_value=e)
+        out = out / out[1]
+        inw = inw / inw[-2]     # inw[j] lives on grid index m0 - 1 + j
 
         # keep the match away from a node of either branch
         m, best_w = m0, -1.0
@@ -119,8 +117,8 @@ class _Shooter:
         if po == 0.0 or pi == 0.0:
             raise ConvergenceError("matching point fell on a node", last_value=e)
 
-        phi_out = np.asarray(out[: m + 1]) / po
-        phi_in = np.asarray(inw[m - m0 + 1:]) / pi
+        phi_out = out[: m + 1] / po
+        phi_in = inw[m - m0 + 1:] / pi
         norm = float(phi_out @ phi_out) + float(phi_in @ phi_in) - 1.0
 
         ym1 = fl[m - 1] * phi_out[m - 1]

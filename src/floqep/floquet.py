@@ -8,11 +8,13 @@ part is rotated into the complex plane (exterior scaling), which turns the
 outgoing Siegert solutions into decaying ones; a zero boundary at both contour
 ends then selects complex quasienergies E = E_R - i Gamma/2.
 
-The solver propagates renormalized Numerov ratio matrices outward from the
-origin and inward from the contour end; eigenvalues are roots of the matching
-determinant at an interior point.  Ratio propagation is overflow-free, and a
-dedicated one-point stencil bridges the real/rotated step mismatch at the
-scaling corner.
+Eigenvalues are roots of the matching determinant det(R_m - G_{m+1}^-1) of
+the renormalized Numerov ratio matrices at an interior point m; a dedicated
+one-point stencil bridges the real/rotated step mismatch at the scaling corner.
+Two blocks propagate the ratios outward from the origin and inward from the
+contour end.  Four or more blocks take the same ratios from banded
+boundary-value solves of the Numerov equations (the ratios are the block
+pivots of that banded LU; B. R. Johnson, J. Chem. Phys. 69, 4678 (1978)).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zgbsv as _zgbsv
 
 from .errors import ConvergenceError, GridError, ModelError
 from .molecule import FieldPoint, MoleculeModel, RadialGrid
@@ -79,7 +82,8 @@ class CoupledSystem:
     """Discretized coupled problem, ready for determinant evaluation.
 
     Immutable after construction; precomputes all energy-independent grid
-    quantities so one determinant evaluation costs a single sweep.
+    quantities so one determinant evaluation costs a single sweep (two
+    blocks) or two banded solves (four or more).
     """
 
     def __init__(self, model: MoleculeModel, field: FieldPoint, grid: RadialGrid,
@@ -215,10 +219,13 @@ class CoupledSystem:
 
     # -- determinant -------------------------------------------------------
     def determinant(self, e: complex) -> complex:
-        """det(R_out - R_in^-1) at the matching point; zero at quasienergies."""
+        """det(R_m - G_{m+1}^-1) at the matching point; zero at quasienergies.
+
+        Two blocks run the scalar ratio sweep, more blocks the banded solves.
+        """
         if len(self.blocks) == 2:
             return self._det_two(e)
-        return self._det_generic(e)
+        return self._det_banded(e)
 
     def _det_two(self, e: complex) -> complex:
         p2m = self._p * self._2m
@@ -258,34 +265,90 @@ class CoupledSystem:
         m22 = ru - gg / d
         return m11 * m22 - m12 * m12
 
-    def _det_generic(self, e: complex) -> complex:
-        nb = len(self.blocks)
-        n = len(self._p)
-        eye = np.eye(nb, dtype=complex)
-        diag = np.stack([v - e for v in self._vdiag])       # (nb, n)
-        t = np.zeros((n, nb, nb), dtype=complex)
-        idx = np.arange(nb)
-        t[:, idx, idx] = (self._p * self._2m * diag).T
-        off = self._p * self._woff
-        for i in range(nb - 1):
-            t[:, i, i + 1] = t[:, i + 1, i] = off
-        u = 12.0 * np.linalg.inv(eye - t) - 10.0 * eye
+    def _det_banded(self, e: complex) -> complex:
+        """The same det(R_m - G_{m+1}^-1), from two banded boundary-value solves.
 
+        The Numerov rows 1..m (outward) and m+1..n-2 (inward) are solved for
+        psi with psi_{m+1} = I, resp. psi_m = I, pinned; the ratios follow from
+        the solutions next to the matching point.
+        """
         m = self.matching_index
+        eye = np.eye(len(self.blocks), dtype=complex)
+        fm = eye - self._p[m] * self._wmat(m, e)
+        fm1 = eye - self._p[m + 1] * self._wmat(m + 1, e)
+        psi_out = self._solve_rows(e, 1, m, -fm1, inward=False)[-1]
+        psi_in = self._solve_rows(e, m + 1, len(self._p) - 2, -fm, inward=True)[0]
+        r = fm1 @ np.linalg.inv(fm @ psi_out)
+        g_inv = fm1 @ psi_in @ np.linalg.inv(fm)
+        return complex(np.linalg.det(r - g_inv))
+
+    def _solve_rows(self, e: complex, lo: int, hi: int, rhs: np.ndarray,
+                    inward: bool) -> np.ndarray:
+        """psi_lo..psi_hi, shape (hi - lo + 1, nb, nb), from the Numerov rows lo..hi.
+
+        psi = I is pinned next to the range (at lo - 1 when ``inward``, else at
+        hi + 1), so ``rhs`` is minus that row's coupling to it; psi = 0 at the
+        other end.  Band layout of ``zgbsv`` with kl = ku = nb + 1, one column
+        per (grid point, block); row c is the corner stencil, and its
+        neighbours see psi_c through the analytic corner W.
+        """
+        nb = len(self.blocks)
+        kb = hi - lo + 1
+        kl = nb + 1
+        mid = 2 * kl                          # band row of the main diagonal
+        p = self._p[lo: hi + 1]
+        wd = self._2m * (np.stack([v[lo - 1: hi + 2] for v in self._vdiag]) - e)
+        wo = self._woff[lo - 1: hi + 2].copy()
         c = self._corner
+        if lo - 1 <= c <= hi + 1:
+            wd[:, c - lo + 1] = np.diag(self._w0c) - self._2m * e
+            wo[c - lo + 1] = self._w0c[0, 1]
 
-        r = u[1].copy()
-        for k in range(2, m + 1):
-            r = u[k] - np.linalg.inv(r)
+        band = np.zeros((3 * kl + 1, nb, kb), dtype=complex, order="F")
 
-        g = u[n - 2].copy()
-        for k in range(n - 3, c, -1):
-            g = u[k] - np.linalg.inv(g)
-        g = self._cross_corner(g, e)
-        for k in range(c - 1, m, -1):
-            g = u[k] - np.linalg.inv(g)
+        def put(dk, i, j, coef):
+            """Coefficients of psi_{k+dk, j} in the rows (k, i), k = lo..hi."""
+            row = mid - dk * nb - j + i
+            if dk > 0:
+                band[row, j, 1:] = coef[:-1]
+            elif dk < 0:
+                band[row, j, :-1] = coef[1:]
+            else:
+                band[row, j] = coef
 
-        return complex(np.linalg.det(r - np.linalg.inv(g)))
+        # (I - p W_{k-1}) psi_{k-1} - (2 I + 10 p W_k) psi_k + (I - p W_{k+1}) psi_{k+1}
+        for i in range(nb):
+            put(-1, i, i, 1.0 - p * wd[i, :-2])
+            put(0, i, i, -2.0 - 10.0 * p * wd[i, 1:-1])
+            put(1, i, i, 1.0 - p * wd[i, 2:])
+            for j in (i - 1, i + 1):
+                if 0 <= j < nb:
+                    put(-1, i, j, -p * wo[:-2])
+                    put(0, i, j, -10.0 * p * wo[1:-1])
+                    put(1, i, j, -p * wo[2:])
+        if lo <= c <= hi:
+            a_plus, a_minus, a_zero = self._corner_matrices(e)
+            kc = c - lo
+            for dk, blk in ((-1, a_minus), (0, -a_zero), (1, a_plus)):
+                if not 0 <= kc + dk < kb:
+                    continue
+                for i in range(nb):
+                    for j in range(nb):
+                        d = dk * nb + j - i
+                        if abs(d) <= kl:
+                            band[mid - d, j, kc + dk] = blk[i, j]
+
+        b = np.zeros((kb * nb, nb), dtype=complex, order="F")
+        if inward:
+            b[:nb] = rhs
+        else:
+            b[-nb:] = rhs
+        _, _, x, info = _zgbsv(kl, kl, band.reshape(3 * kl + 1, nb * kb, order="F"), b,
+                               overwrite_ab=1, overwrite_b=1)
+        if info != 0:
+            raise ConvergenceError(f"singular banded Numerov solve (info {info})",
+                                   last_value=e)
+        return x.reshape(kb, nb, nb)
 
 
 def build_system(model: MoleculeModel, field: FieldPoint, grid: RadialGrid | None = None,
@@ -337,7 +400,8 @@ def find_resonance(system: CoupledSystem, e_guess: complex, label: int | None = 
                 raise ConvergenceError(
                     f"converged to the unphysical sheet (Im E = {e1.imag:.3e})",
                     last_value=e1)
-            resid = abs(system.determinant(e1))
+            # |determinant| at e1, undoing the deflation of the last secant value
+            resid = abs(f1) * math.prod(abs(e1 - r) for r in deflate)
             energy = complex(e1.real, min(e1.imag, 0.0))
             return Resonance(energy=energy, width=-2.0 * energy.imag, label=label,
                              residual=resid)

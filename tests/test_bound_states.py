@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from floqep.bound_states import BoundLevel, adiabatic_levels, vibrational_levels
-from floqep.errors import ModelError
+from floqep import bound_states
+from floqep.bound_states import (
+    BoundLevel,
+    _Shooter,
+    adiabatic_levels,
+    vibrational_levels,
+)
+from floqep.errors import ConvergenceError, ModelError
 from floqep.molecule import FieldPoint, exp_repulsive, load_molecule, morse_curve
 
 
@@ -130,3 +136,77 @@ class TestAdiabaticLevels:
         # first excited quasi-bound level at the red end of the scan range
         levels = adiabatic_levels(h2plus, FieldPoint(789.7, 1e3), 2)
         assert levels[1].energy == pytest.approx(-0.0149461, abs=2e-6)
+
+
+def shooter_and_levels(potential, mass, r_min, r_max, n_points, v_max=None):
+    """The solver's shooter on the grid vibrational_levels uses, with its levels."""
+    r = np.linspace(r_min, r_max, n_points)
+    shooter = _Shooter(np.asarray(potential(r)) - potential.asymptote,
+                       (r_max - r_min) / (n_points - 1), mass)
+    levels = vibrational_levels(potential, mass, v_max, r_min=r_min, r_max=r_max,
+                                n_points=n_points)
+    return shooter, levels
+
+
+@pytest.fixture(scope="module", params=["h2plus-3001", "h2plus-6001", "morse"])
+def shooter_case(request, h2plus):
+    if request.param == "morse":
+        m = TestMorseOracle
+        return shooter_and_levels(morse_curve(m.D, m.A, m.R0), m.MASS, 0.4, 12.0, 8001, 10)
+    n_points = int(request.param.split("-")[1])
+    return shooter_and_levels(h2plus.vg_curve, h2plus.reduced_mass, 0.5, 25.0, n_points)
+
+
+def shooting_nodes(shooter, e):
+    """Reference count: sign changes of the outward Numerov recursion from
+    psi_0 = 0, psi_1 = 1, point by point with overflow rescaling."""
+    f = 1.0 - shooter.c2 * (shooter.v - e)
+    p0, p1, nodes = 0.0, 1.0, 0
+    for k in range(1, shooter.n - 1):
+        p2 = ((12.0 - 10.0 * f[k]) * p1 - f[k - 1] * p0) / f[k + 1]
+        if abs(p2) > 1e250:
+            p1, p2 = p1 * 1e-250, p2 * 1e-250
+        nodes += p1 * p2 < 0.0
+        p0, p1 = p1, p2
+    return nodes
+
+
+class TestLevelSolver:
+    def test_node_count_matches_shooting_recursion(self, shooter_case):
+        shooter, levels = shooter_case
+        for e in np.linspace(levels[0].energy - 1e-3, levels[-1].energy + 1e-4, 60):
+            assert shooter.count_nodes(e) == shooting_nodes(shooter, e)
+
+    def test_node_count_brackets_every_level(self, shooter_case):
+        shooter, levels = shooter_case
+        for lvl in levels:
+            delta = 1e-9 * max(1.0, abs(lvl.energy))
+            assert shooter.count_nodes(lvl.energy - delta) == lvl.v
+            assert shooter.count_nodes(lvl.energy + delta) == lvl.v + 1
+
+    def test_newton_step_vanishes_at_levels(self, shooter_case):
+        shooter, levels = shooter_case
+        for lvl in levels:
+            assert abs(shooter.newton_step(lvl.energy)) < 1e-12
+
+    def test_singular_solve_raises(self):
+        # f = 1 - (V - E) = (1, 0, 1.2, 1): the 2x2 Numerov matrix
+        # [[12, -1.2], [0, 12 - 10 * 1.2]] has an exact zero pivot
+        with pytest.raises(ConvergenceError, match="singular"):
+            _Shooter(np.array([0.0, 1.0, -0.2, 0.0]), 1.0, 6.0).count_nodes(0.0)
+
+    def test_singular_branch_falls_back_to_bisection(self, h2plus, monkeypatch):
+        shooter, levels = shooter_and_levels(h2plus.vg_curve, h2plus.reduced_mass,
+                                             0.5, 25.0, 3001)
+        real = bound_states._dgtsv
+
+        def singular_branches(dl, d, du, b, **kw):
+            *out, info = real(dl, d, du, b, **kw)
+            # the shooting branches are shorter than the full node-count solve
+            return (*out, 1 if len(d) < shooter.n - 2 else info)
+
+        monkeypatch.setattr(bound_states, "_dgtsv", singular_branches)
+        with pytest.raises(ConvergenceError, match="singular"):
+            shooter.newton_step(levels[5].energy)
+        e = shooter.solve_level(5, levels[4].energy + 1e-6, levels[6].energy - 1e-6)
+        assert e == pytest.approx(levels[5].energy, abs=1e-11)

@@ -55,12 +55,13 @@ def toy():
     return model, tgrid, levels
 
 
-def continued_resonance(model, grid, wavelength, intensity, e_start, n_steps=6):
+def continued_resonance(model, grid, wavelength, intensity, e_start, n_steps=6,
+                        n_blocks=2):
     """Walk the intensity up in steps, reseeding from the previous root."""
     e = complex(e_start)
     res = None
     for i in np.linspace(intensity / n_steps, intensity, n_steps):
-        system = build_system(model, FieldPoint(wavelength, i), grid)
+        system = build_system(model, FieldPoint(wavelength, i), grid, n_blocks=n_blocks)
         res = find_resonance(system, e)
         e = res.energy
     return res
@@ -248,6 +249,27 @@ class TestMultiBlock:
         d_lo, d_hi = diff(1e10), diff(1e11)
         assert d_lo < 3e-6
         assert d_hi / d_lo == pytest.approx(10.0, rel=0.2)
+
+
+class TestBandedDeterminant:
+    def test_matches_ratio_sweep_on_two_blocks(self, h2plus, grid, free_levels):
+        # the banded solves evaluate the same det(R_m - G_{m+1}^-1) as the
+        # two-block ratio sweep; energies sit off the roots, where relative
+        # agreement is meaningful, and the field is weak because _det_two
+        # drops the asymmetry of its ratio past the corner, which shows from
+        # about 1e11 W/cm^2 on
+        system = build_system(h2plus, FieldPoint(634.55, 1e10), grid)
+        for v in (8, 12, 16):
+            for de in (2e-4 - 1e-4j, -3e-4 - 5e-5j, 5e-4):
+                e = complex(free_levels[v].energy) + de
+                ref = system._det_two(e)
+                assert abs(system._det_banded(e) - ref) <= 2e-10 * abs(ref)
+
+    def test_frozen_four_block_root(self, h2plus, grid, free_levels):
+        # reference value from the four-block ratio sweep this solver replaced
+        res = continued_resonance(h2plus, grid, 788.2, 1e12, free_levels[12].energy,
+                                  n_steps=8, n_blocks=4)
+        assert abs(res.energy - (-0.012309094124283 - 9.600296206e-6j)) < 1e-10
 
 
 class TestClassification:
