@@ -4,8 +4,8 @@ One record per solved configuration, keyed by a content hash over the
 model fingerprint, the grid, and the solver inputs.  A result is reused
 only when every input that could change it is byte-identical, so editing
 a model descriptor or a grid flag silently invalidates the old entries
-instead of serving them.  Writes go through a temp file and an atomic
-rename; an interrupted run leaves the previous cache intact.
+instead of serving them.  Writes go through a per-process temp file and
+an atomic rename; an interrupted run leaves the previous cache intact.
 """
 
 from __future__ import annotations
@@ -56,10 +56,17 @@ class SolveCache:
         self._dirty = True
 
     def flush(self):
-        """Atomically persist the store (no-op when nothing changed)."""
+        """Atomically persist the store (no-op when nothing changed).
+
+        Records on disk are merged in under this store's own first, so
+        processes sharing one cache file keep each other's records.
+        """
         if not self._dirty:
             return
-        tmp = self.path + ".tmp"
+        if os.path.exists(self.path):
+            with open(self.path) as fh:
+                self._data = {**json.load(fh), **self._data}
+        tmp = f"{self.path}.{os.getpid()}.tmp"
         with open(tmp, "w") as fh:
             json.dump(self._data, fh, indent=1, sort_keys=True)
         os.replace(tmp, self.path)

@@ -33,11 +33,10 @@ import numpy as np
 from . import __version__
 from .bound_states import adiabatic_levels, vibrational_levels
 from .cache import SolveCache
-from .ep import (DIAGNOSTIC_INTENSITY, EPCandidate, EPRecord, _refine_worker,
-                 approximate_eps, cluster_bands, records_from_csv,
-                 records_to_csv, refine_ep)
+from .ep import (DIAGNOSTIC_INTENSITY, EPCandidate, EPRecord, approximate_eps,
+                 cluster_bands, records_from_csv, records_to_csv, refine_ep)
 from .errors import ContinuationError, ConvergenceError, GridError, ModelError
-from .floquet import build_system, classify_resonance, find_resonance
+from .floquet import classify_resonance, ramp_resonance
 from .loops import LoopSpec, follow_resonance, run_scenario, trajectory_to_csv
 from .molecule import FieldPoint, RadialGrid, adiabatic_potentials, load_molecule
 from .svg import ep_map_plot, line_plot
@@ -125,21 +124,6 @@ def _write_json(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-
-
-def _record_to_dict(r: EPRecord) -> dict:
-    return {"pair": list(r.pair), "lambda_nm": r.lambda_ep,
-            "intensity_1e13Wcm2": r.intensity_ep,
-            "gap_residual": r.gap_residual,
-            "e_ep": [r.e_ep.real, r.e_ep.imag], "v_plus": r.v_plus}
-
-
-def _record_from_dict(d: dict) -> EPRecord:
-    return EPRecord(pair=tuple(d["pair"]), lambda_ep=d["lambda_nm"],
-                    intensity_ep=d["intensity_1e13Wcm2"],
-                    gap_residual=d["gap_residual"],
-                    e_ep=complex(d["e_ep"][0], d["e_ep"][1]),
-                    v_plus=d.get("v_plus"))
 
 
 # ------------------------------------------------------------- commands
@@ -262,14 +246,9 @@ def cmd_resonance(args, model, grid, cache):
         if not 0 <= args.v < len(levels):
             raise ModelError(f"v={args.v} outside the {len(levels)} "
                              "bound levels")
-        e = complex(levels[args.v].energy)
-        system = res = None
-        for inten in np.linspace(args.intensity / args.steps,
-                                 args.intensity, args.steps):
-            system = build_system(model, FieldPoint(args.wavelength, inten),
-                                  grid, n_blocks=args.n_blocks)
-            res = find_resonance(system, e, label=args.v)
-            e = res.energy
+        system, res = ramp_resonance(
+            model, FieldPoint(args.wavelength, args.intensity),
+            levels[args.v].energy, args.steps, grid, n_blocks=args.n_blocks)
         rec = {"energy_re_hartree": res.energy.real,
                "energy_im_hartree": res.energy.imag,
                "width_hartree": res.width,
@@ -298,6 +277,20 @@ def _ep_key(cache, model, grid, args, cand):
                           n_blocks=args.n_blocks, i_cap=args.i_cap)
 
 
+def _refine(model, cand, grid, n_blocks, i_cap):
+    """refine_ep, with a refinement failure returned as (cand, message)."""
+    try:
+        return refine_ep(model, cand, grid, n_blocks=n_blocks, i_cap=i_cap)
+    except (ConvergenceError, ModelError) as ex:
+        return (cand, str(ex))
+
+
+def _refine_worker(args):
+    origin, grid_args, n_blocks, cand_args, i_cap = args
+    return _refine(load_molecule(origin), EPCandidate(*cand_args),
+                   RadialGrid(*grid_args), n_blocks, i_cap)
+
+
 def cmd_ep_map(args, model, grid, cache):
     """Locate and refine every coalescence seeded inside the window."""
     lo, hi = args.window
@@ -312,7 +305,7 @@ def cmd_ep_map(args, model, grid, cache):
             key = _ep_key(cache, model, grid, args, cand)
             rec = cache.get(key)
         if rec is not None:
-            records.append(_record_from_dict(rec))
+            records.append(EPRecord.from_dict(rec))
             n_hits += 1
         else:
             todo.append((key, cand))
@@ -324,7 +317,7 @@ def cmd_ep_map(args, model, grid, cache):
         if isinstance(result, EPRecord):
             records.append(result)
             if cache is not None:
-                cache.put(key, _record_to_dict(result))
+                cache.put(key, result.to_dict())
         else:
             failures.append((cand, result[1]))
 
@@ -340,12 +333,8 @@ def cmd_ep_map(args, model, grid, cache):
                 absorb(key, cand, result)
     else:
         for key, cand in todo:
-            try:
-                result = refine_ep(model, cand, grid, n_blocks=args.n_blocks,
-                                   i_cap=args.i_cap)
-            except (ConvergenceError, ModelError) as ex:
-                result = (cand, str(ex))
-            absorb(key, cand, result)
+            absorb(key, cand, _refine(model, cand, grid, args.n_blocks,
+                                      args.i_cap))
     if cache is not None:
         cache.flush()
     for cand, msg in failures:
@@ -361,7 +350,7 @@ def cmd_ep_map(args, model, grid, cache):
         args, model,
         {"n_records": len(ordered), "n_cached": n_hits,
          "n_failed": len(failures),
-         "records": [_record_to_dict(r) for r in ordered]}))
+         "records": [r.to_dict() for r in ordered]}))
     print(f"{len(ordered)} coalescences ({n_hits} from cache, "
           f"{len(failures)} failed) -> {args.out}")
     return 0
@@ -382,7 +371,7 @@ def cmd_ep_refine(args, model, grid, cache):
     if rec_dict is None:
         rec = refine_ep(model, cand, grid, n_blocks=args.n_blocks,
                         i_cap=args.i_cap)
-        rec_dict = _record_to_dict(rec)
+        rec_dict = rec.to_dict()
         if cache is not None:
             cache.put(key, rec_dict)
             cache.flush()
@@ -416,15 +405,15 @@ def cmd_loop(args, model, grid, cache):
     p_end = traj.survival_at_end() if traj.samples else float("nan")
     trajectory_to_csv(traj, os.path.join(args.out, "loop.csv"))
 
-    markers = [(traj.samples[0].wavelength,
-                traj.samples[0].intensity / 1.0e13, "start")]
+    # samples, --i-max and EP records all give intensity in 10^13 W/cm^2
+    markers = [(traj.samples[0].wavelength, traj.samples[0].intensity, "start")]
     if args.ep_csv:
         markers += [(r.lambda_ep, r.intensity_ep,
                      f"({r.pair[0]},{r.pair[1]})")
                     for r in records_from_csv(args.ep_csv)]
     line_plot(os.path.join(args.out, "loop_contour.svg"),
               [("contour", [s.wavelength for s in traj.samples],
-                [s.intensity / 1.0e13 for s in traj.samples])],
+                [s.intensity for s in traj.samples])],
               markers=markers, title="parameter-plane contour",
               x_label="wavelength (nm)", y_label="intensity (10^13 W/cm^2)")
     line_plot(os.path.join(args.out, "loop_energy.svg"),

@@ -13,27 +13,20 @@ no derivative there, while its square is smooth.
 from __future__ import annotations
 
 import csv
-import json
-import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bound_states import adiabatic_levels, vibrational_levels
 from .errors import ConvergenceError, ModelError
-from .floquet import build_system, find_resonance
-from .molecule import FieldPoint, MoleculeModel, RadialGrid, load_molecule
-
-log = logging.getLogger(__name__)
+from .floquet import build_system, find_resonance, step_character
+from .molecule import FieldPoint, MoleculeModel, RadialGrid
+from .units import INTENSITY_UNIT
 
 # reference intensity for the crossing diagnostic: small enough that the
 # upper-well levels are field-independent, large enough to define the well
 DIAGNOSTIC_INTENSITY = 1.0e3
-
-# one unit of EPRecord.intensity_ep in W/cm^2
-INTENSITY_UNIT = 1.0e13
 
 _GAP_TOL = 1e-8
 
@@ -53,7 +46,9 @@ class EPRecord:
     """A refined coalescence of two resonances.
 
     intensity_ep is stored in units of 10^13 W/cm^2; e_ep is the common
-    complex energy of the merged pair in hartree.
+    complex energy of the merged pair in hartree.  to_dict / from_dict give
+    the one serialized form: the records of ep_map.json, of the solve cache
+    and, flattened, of the CSV columns.
     """
 
     pair: tuple[int, int]
@@ -66,6 +61,21 @@ class EPRecord:
     def __post_init__(self):
         if self.intensity_ep <= 0.0:
             raise ModelError("intensity_ep must be positive")
+
+    def to_dict(self) -> dict:
+        return {"pair": list(self.pair), "lambda_nm": self.lambda_ep,
+                "intensity_1e13Wcm2": self.intensity_ep,
+                "gap_residual": self.gap_residual,
+                "e_ep": [self.e_ep.real, self.e_ep.imag],
+                "v_plus": self.v_plus}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> EPRecord:
+        return cls(pair=tuple(d["pair"]), lambda_ep=d["lambda_nm"],
+                   intensity_ep=d["intensity_1e13Wcm2"],
+                   gap_residual=d["gap_residual"],
+                   e_ep=complex(d["e_ep"][0], d["e_ep"][1]),
+                   v_plus=d.get("v_plus"))
 
 
 @dataclass
@@ -298,11 +308,6 @@ class _PairPath:
             stack.pop()
         return self._points[-1][2]
 
-    def pair_at(self, lam, inten):
-        """Pair evaluator for the coalescence search (intensity in
-        units of 10^13 W/cm^2)."""
-        return self.advance(lam, inten)
-
 
 def _initial_intensity(path: _PairPath, lam, *, i_cap=0.6, n_scan=30):
     """Scan intensity upward at fixed wavelength and return the gap
@@ -422,7 +427,7 @@ def refine_ep(model: MoleculeModel, candidate: EPCandidate,
         i0, gap0 = _initial_intensity(path, candidate.lambda_guess, i_cap=i_cap)
         if i0 is None:
             raise ConvergenceError("no gap minimum along the intensity scan")
-        pair_fn = path.pair_at
+        pair_fn = path.advance
         lam0 = candidate.lambda_guess
     else:
         lam0, i0 = candidate.lambda_guess, i_cap * 0.5
@@ -430,17 +435,6 @@ def refine_ep(model: MoleculeModel, candidate: EPCandidate,
     return EPRecord(pair=(candidate.v, candidate.v_partner),
                     lambda_ep=lam, intensity_ep=inten, gap_residual=gap,
                     e_ep=0.5 * (pair[0] + pair[1]), v_plus=candidate.v_plus)
-
-
-def _step_character(e, stepped):
-    """Feshbach/Shape sign pattern of one branch under an intensity step."""
-    de = stepped.real - e.real
-    dw = -2.0 * (stepped.imag - e.imag)
-    if de > 0 and dw < 0:
-        return "Feshbach"
-    if de < 0 and dw > 0:
-        return "Shape"
-    return "Unclassified"
 
 
 def verify_signature(model: MoleculeModel, ep: EPRecord, d_lambda: float = 0.05,
@@ -477,7 +471,7 @@ def verify_signature(model: MoleculeModel, ep: EPRecord, d_lambda: float = 0.05,
             w_gap.append(e1.imag - e2.imag)
             pair = (e1, e2)
         stepped = path.advance(lam, 1.02 * i_hi)
-        chars = tuple(_step_character(e, p) for e, p in zip(pair, stepped))
+        chars = tuple(step_character(e, p) for e, p in zip(pair, stepped))
         re_x = int(np.sum(np.diff(np.sign(re_gap)) != 0))
         w_x = int(np.sum(np.diff(np.sign(w_gap)) != 0))
         return SideScan(wavelength=lam, re_crossings=re_x, width_crossings=w_x,
@@ -511,73 +505,6 @@ def verify_signature(model: MoleculeModel, ep: EPRecord, d_lambda: float = 0.05,
                            contaminated=contaminated, valid=valid)
 
 
-def _refine_worker(args):
-    origin, grid_args, n_blocks, cand_args, i_cap = args
-    model = load_molecule(origin)
-    grid = RadialGrid(*grid_args)
-    cand = EPCandidate(*cand_args)
-    try:
-        return refine_ep(model, cand, grid, n_blocks=n_blocks, i_cap=i_cap)
-    except (ConvergenceError, ModelError) as ex:
-        return (cand, str(ex))
-
-
-def map_clusters(model: MoleculeModel, v_max: int,
-                 lambda_window: tuple[float, float], *, grid=None,
-                 vplus_max=8, n_blocks=2, jobs=1, i_cap=0.6,
-                 progress=None) -> list[EPRecord]:
-    """Locate every EP seeded by crossings up to v_max inside the window.
-
-    Individual refinement failures are logged and skipped.  Records come
-    back grouped into wavelength clusters (gaps below 50 nm) ordered red
-    to blue, ascending v inside each cluster.
-    """
-    grid = grid if grid is not None else RadialGrid()
-    cands = approximate_eps(model, range(v_max + 1), range(vplus_max + 1),
-                            lambda_window)
-    records, failures = [], []
-
-    if jobs > 1 and model.origin:
-        grid_args = (grid.r_min, grid.r_max, grid.n_points,
-                     grid.ecs_radius, grid.ecs_angle)
-        work = [(model.origin, grid_args, n_blocks,
-                 (c.v, c.v_partner, c.v_plus, c.lambda_guess), i_cap)
-                for c in cands]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for cand, result in zip(cands, pool.map(_refine_worker, work)):
-                if isinstance(result, EPRecord):
-                    records.append(result)
-                else:
-                    failures.append(result)
-                if progress:
-                    progress(cand, result)
-    else:
-        for cand in cands:
-            try:
-                rec = refine_ep(model, cand, grid, n_blocks=n_blocks,
-                                i_cap=i_cap)
-                records.append(rec)
-            except (ConvergenceError, ModelError) as ex:
-                failures.append((cand, str(ex)))
-                rec = None
-            if progress:
-                progress(cand, rec)
-    for cand, msg in failures:
-        log.warning("refinement failed for %s: %s", cand, msg)
-
-    records.sort(key=lambda r: -r.lambda_ep)
-    ordered, cluster = [], []
-    for rec in records:
-        if cluster and cluster[-1].lambda_ep - rec.lambda_ep > 50.0:
-            cluster.sort(key=lambda r: r.pair[0])
-            ordered.extend(cluster)
-            cluster = []
-        cluster.append(rec)
-    cluster.sort(key=lambda r: r.pair[0])
-    ordered.extend(cluster)
-    return ordered
-
-
 def cluster_bands(records) -> list[list[EPRecord]]:
     """Split an ordered record list into its wavelength clusters."""
     bands = []
@@ -589,34 +516,32 @@ def cluster_bands(records) -> list[list[EPRecord]]:
     return bands
 
 
+_CSV_FLOATS = ("lambda_nm", "intensity_1e13Wcm2", "gap_residual")
+
+
 def records_to_csv(records, path):
+    """One row per record: the to_dict fields, with pair as "v-w", e_ep
+    split into e_ep_re / e_ep_im and an empty v_plus for None."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["pair", "lambda_nm", "intensity_1e13Wcm2", "gap_residual"])
+        w.writerow(["pair", *_CSV_FLOATS, "e_ep_re", "e_ep_im", "v_plus"])
         for r in records:
-            w.writerow([f"{r.pair[0]}-{r.pair[1]}",
-                        f"{r.lambda_ep:.12g}", f"{r.intensity_ep:.12g}",
-                        f"{r.gap_residual:.12g}"])
-
-
-def records_to_json(records, path):
-    blob = [{"pair": list(r.pair), "lambda_nm": r.lambda_ep,
-             "intensity_1e13Wcm2": r.intensity_ep,
-             "gap_residual": r.gap_residual,
-             "e_ep": [r.e_ep.real, r.e_ep.imag],
-             "v_plus": r.v_plus} for r in records]
-    with open(path, "w") as fh:
-        json.dump(blob, fh, indent=1)
+            d = r.to_dict()
+            floats = [d[k] for k in _CSV_FLOATS] + d["e_ep"]
+            w.writerow(["{}-{}".format(*d["pair"])]
+                       + [f"{x:.12g}" for x in floats]
+                       + ["" if d["v_plus"] is None else d["v_plus"]])
 
 
 def records_from_csv(path):
+    """Records from records_to_csv; a file in the older layout without the
+    e_ep and v_plus columns loads with e_ep = 0 and v_plus = None."""
     out = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            a, b = row["pair"].split("-")
-            out.append(EPRecord(pair=(int(a), int(b)),
-                                lambda_ep=float(row["lambda_nm"]),
-                                intensity_ep=float(row["intensity_1e13Wcm2"]),
-                                gap_residual=float(row["gap_residual"]),
-                                e_ep=0j))
+            d = {k: float(row[k]) for k in _CSV_FLOATS}
+            d["pair"] = [int(v) for v in row["pair"].split("-")]
+            d["e_ep"] = [float(row.get(k) or 0.0) for k in ("e_ep_re", "e_ep_im")]
+            d["v_plus"] = int(row["v_plus"]) if row.get("v_plus") else None
+            out.append(EPRecord.from_dict(d))
     return out

@@ -36,7 +36,8 @@ __all__ = [
     "build_system",
     "classify_resonance",
     "find_resonance",
-    "matching_determinant",
+    "ramp_resonance",
+    "step_character",
 ]
 
 _DE_TOL = 1e-12        # secant convergence on |dE|
@@ -359,11 +360,6 @@ def build_system(model: MoleculeModel, field: FieldPoint, grid: RadialGrid | Non
     return CoupledSystem(model, field, grid, n_blocks, matching_index)
 
 
-def matching_determinant(system: CoupledSystem, e: complex) -> complex:
-    """Matching determinant whose zeros are the complex quasienergies."""
-    return system.determinant(e)
-
-
 def find_resonance(system: CoupledSystem, e_guess: complex, label: int | None = None,
                    *, deflate: tuple = (), max_step: float = _MAX_STEP) -> Resonance:
     """Secant iteration in the complex plane from e_guess to one quasienergy.
@@ -409,13 +405,44 @@ def find_resonance(system: CoupledSystem, e_guess: complex, label: int | None = 
                            iterations=_MAX_SECANT, last_value=e1)
 
 
+def ramp_resonance(model: MoleculeModel, field: FieldPoint, e_start: complex,
+                   steps: int, grid: RadialGrid | None = None,
+                   n_blocks: int = 2) -> tuple[CoupledSystem, Resonance]:
+    """Continue a resonance from e_start up to the intensity of ``field``.
+
+    The intensity rises in ``steps`` equal steps, I/steps .. I, at the
+    wavelength of ``field``; each solve is seeded by the previous root.
+    Returns the system at ``field`` and the resonance found there.
+    """
+    e = complex(e_start)
+    for inten in np.linspace(field.intensity / steps, field.intensity, steps):
+        system = build_system(model, FieldPoint(field.wavelength, inten), grid,
+                              n_blocks=n_blocks)
+        res = find_resonance(system, e)
+        e = res.energy
+    return system, res
+
+
+def step_character(e: complex, stepped: complex) -> str:
+    """Feshbach/Shape character from how a resonance energy moves when the
+    intensity is stepped up (e before, stepped after the step).
+
+    Feshbach: position rises and width (-2 Im E) shrinks; Shape: the
+    opposite; anything mixed (the near-coalescence regime) is Unclassified.
+    """
+    de = stepped.real - e.real
+    dw = -2.0 * (stepped.imag - e.imag)
+    if de > 0 and dw < 0:
+        return "Feshbach"
+    if de < 0 and dw > 0:
+        return "Shape"
+    return "Unclassified"
+
+
 def classify_resonance(system: CoupledSystem, res: Resonance,
                        d_intensity: float | None = None) -> str:
-    """Feshbach/Shape character from the sign pattern of an intensity step.
-
-    Feshbach: position rises and width shrinks with intensity; Shape: the
-    opposite; anything mixed (the near-coalescence regime) is Unclassified,
-    as is a resonance whose probe step cannot be tracked.
+    """Feshbach/Shape character (see step_character) of ``res`` under an
+    intensity step; Unclassified when the probe step cannot be tracked.
     """
     field = system.field
     if d_intensity is None:
@@ -427,10 +454,4 @@ def classify_resonance(system: CoupledSystem, res: Resonance,
         res2 = find_resonance(stepped, res.energy, label=res.label)
     except ConvergenceError:
         return "Unclassified"
-    de = res2.energy.real - res.energy.real
-    dw = res2.width - res.width
-    if de > 0 and dw < 0:
-        return "Feshbach"
-    if de < 0 and dw > 0:
-        return "Shape"
-    return "Unclassified"
+    return step_character(res.energy, res2.energy)

@@ -30,9 +30,7 @@ from .bound_states import vibrational_levels
 from .errors import ContinuationError, ConvergenceError, ModelError
 from .floquet import build_system, classify_resonance, find_resonance
 from .molecule import FieldPoint, RadialGrid
-from .units import FS_PER_AU_TIME, width_to_invcm
-
-INTENSITY_UNIT = 1.0e13
+from .units import FS_PER_AU_TIME, INTENSITY_UNIT, width_to_invcm
 
 # a pulse shorter than this traverses the loop too fast for the adiabatic
 # transport picture; emit a warning but run anyway

@@ -139,8 +139,6 @@ class _AsymptoticTail:
         coef, *_ = np.linalg.lstsq(basis, vv, rcond=None)
         self.coef = coef
         self.start = float(start)
-        resid = basis @ coef - vv
-        self.rms = float(np.sqrt(np.mean(resid * resid)))
 
     def eval_at(self, z):
         c = self.coef
@@ -239,10 +237,6 @@ class TabulatedCurve:
         if self.kind == "potential":
             return self._tail.d2(z)
         return np.zeros_like(z)
-
-    @property
-    def tail_rms(self) -> float:
-        return self._tail.rms if self._tail is not None else 0.0
 
 
 @dataclass(frozen=True)

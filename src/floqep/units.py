@@ -15,6 +15,9 @@ PHOTON_HARTREE_NM = 45.56335
 # peak field E0 [a.u.] = sqrt(I [W/cm^2] / INTENSITY_AU_WCM2)
 INTENSITY_AU_WCM2 = 3.50944e16
 
+# one unit of the parameter-plane intensity (EP records, loops) in W/cm^2
+INTENSITY_UNIT = 1.0e13
+
 HARTREE_TO_INVCM = 219474.63
 
 # one atomic time unit in femtoseconds
@@ -41,8 +44,3 @@ def field_amplitude(intensity_wcm2: float) -> float:
 def width_to_invcm(width_hartree: float) -> float:
     """Resonance width, hartree to cm^-1."""
     return width_hartree * HARTREE_TO_INVCM
-
-
-def fs_to_au(t_fs: float) -> float:
-    """Time, femtoseconds to atomic units."""
-    return t_fs / FS_PER_AU_TIME

@@ -14,6 +14,9 @@ import pytest
 
 import floqep
 from floqep.cli import main
+from floqep.ep import records_from_csv
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def read_csv(path):
@@ -145,6 +148,11 @@ class TestEpWorkflow:
         doc = json.loads((out / "ep_map.json").read_text())
         assert doc["results"]["n_records"] == 2
         assert doc["results"]["n_cached"] == 0
+        # the CSV reloads the records of ep_map.json, e_ep and v_plus included
+        for rec, d in zip(records_from_csv(out / "ep_map.csv"),
+                          doc["results"]["records"]):
+            assert rec.v_plus == d["v_plus"]
+            assert rec.e_ep == pytest.approx(complex(*d["e_ep"]), rel=1e-11)
         capsys.readouterr()
 
         # same window again: both records must come from the cache
@@ -190,9 +198,13 @@ class TestLoopCommand:
                      "loop_survival.svg"):
             ET.parse(tmp_path / name)
         root = ET.parse(tmp_path / "loop_contour.svg").getroot()
-        texts = [el.text for el in
-                 root.iter("{http://www.w3.org/2000/svg}text")]
+        texts = [el.text for el in root.iter(f"{SVG}text")]
         assert "(12,13)" in texts
+        # the contour is drawn in 10^13 W/cm^2 like the markers, so the
+        # y axis reaches i_max = 0.02 (not the 0.01 of the EP marker)
+        y_ticks = [float(el.text) for el in root.iter(f"{SVG}text")
+                   if el.get("text-anchor") == "end" and el.text != "contour"]
+        assert max(y_ticks) == pytest.approx(0.02)
         assert "v = 2 -> 2" in capsys.readouterr().out
 
     def test_missing_required_flags(self, tmp_path, capsys):

@@ -15,7 +15,6 @@ from floqep.ep import (
     find_coalescence,
     records_from_csv,
     records_to_csv,
-    records_to_json,
     refine_ep,
     verify_signature,
 )
@@ -188,15 +187,17 @@ class TestSerialization:
             assert b.lambda_ep == float(f"{a.lambda_ep:.12g}")
             assert b.intensity_ep == float(f"{a.intensity_ep:.12g}")
             assert b.gap_residual == float(f"{a.gap_residual:.12g}")
+            assert b.e_ep == complex(float(f"{a.e_ep.real:.12g}"),
+                                     float(f"{a.e_ep.imag:.12g}"))
+            assert b.v_plus == a.v_plus
 
-    def test_json_fields(self, tmp_path):
-        path = tmp_path / "records.json"
-        records_to_json(self.RECORDS, path)
-        blob = json.loads(path.read_text())
+    def test_json_fields(self):
+        blob = json.loads(json.dumps([r.to_dict() for r in self.RECORDS]))
         assert blob[0]["pair"] == [12, 13]
         assert blob[0]["e_ep"] == [self.RECORDS[0].e_ep.real,
                                    self.RECORDS[0].e_ep.imag]
         assert blob[1]["v_plus"] == 3
+        assert [EPRecord.from_dict(d) for d in blob] == self.RECORDS
 
     def test_cluster_bands(self):
         recs = [EPRecord(pair=(v, v + 1), lambda_ep=lam, intensity_ep=0.2,

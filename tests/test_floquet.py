@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from floqep.bound_states import vibrational_levels
@@ -12,7 +13,7 @@ from floqep.floquet import (
     build_system,
     classify_resonance,
     find_resonance,
-    matching_determinant,
+    ramp_resonance,
 )
 from floqep.molecule import (
     FieldPoint,
@@ -55,25 +56,15 @@ def toy():
     return model, tgrid, levels
 
 
-def continued_resonance(model, grid, wavelength, intensity, e_start, n_steps=6,
-                        n_blocks=2):
-    """Walk the intensity up in steps, reseeding from the previous root."""
-    e = complex(e_start)
-    res = None
-    for i in np.linspace(intensity / n_steps, intensity, n_steps):
-        system = build_system(model, FieldPoint(wavelength, i), grid, n_blocks=n_blocks)
-        res = find_resonance(system, e)
-        e = res.energy
-    return res
-
-
 def dense_eigenvalue(system, e_about, niter=3):
     """Independent oracle: the same discretization assembled as a dense
     generalized eigenproblem A x = -E B x instead of propagated ratios.
 
     Interior rows are the three-point recursion with the step factor of the
     row's own contour segment; the corner row is linearized in E about the
-    current estimate and the whole pencil re-assembled a few times.
+    current estimate and the whole pencil re-assembled a few times.  Each
+    pencil is solved for its eigenvalue nearest e_about by shift-invert
+    inverse iteration on a sparse LU (SuperLU) of A + e_about B.
     """
     grid = system.grid
     n, c, nb = grid.n_points, grid.corner_index, len(system.blocks)
@@ -117,12 +108,22 @@ def dense_eigenvalue(system, e_about, niter=3):
                         a[r, idx(kk, blk - 1)] -= wo
         return a, b
 
+    def nearest(a, b):
+        # A x = -E B x  <=>  (A + s B)^-1 B x = x / (s - E), s = e_about
+        lu = spla.splu(sp.csc_matrix(a + e_about * b))
+        x = np.random.default_rng(0).standard_normal(len(a)) + 0j
+        nu = 0.0
+        for _ in range(50):
+            y = lu.solve(b @ x)
+            nu, nu_old = np.vdot(x, y), nu
+            x = y / np.linalg.norm(y)
+            if abs(nu - nu_old) <= 1e-14 * abs(nu):
+                break
+        return e_about - 1.0 / nu
+
     e = e_about
     for _ in range(niter):
-        a, b = assemble(e)
-        w = sla.eig(a, -b, right=False)
-        w = w[np.isfinite(w)]
-        e = w[np.argmin(np.abs(w - e_about))]
+        e = nearest(*assemble(e))
     return e
 
 
@@ -160,9 +161,8 @@ class TestZeroFieldLimit:
 
 @pytest.fixture(scope="module")
 def res788(h2plus, grid, free_levels):
-    return continued_resonance(h2plus, grid, TestFrozenResonance.WAVELENGTH,
-                               TestFrozenResonance.INTENSITY,
-                               free_levels[12].energy)
+    field = FieldPoint(TestFrozenResonance.WAVELENGTH, TestFrozenResonance.INTENSITY)
+    return ramp_resonance(h2plus, field, free_levels[12].energy, 6, grid)[1]
 
 
 class TestFrozenResonance:
@@ -215,8 +215,8 @@ class TestDenseOracle:
         model, tgrid, levels = toy
         system = build_system(model, FieldPoint(600.0, 5e12), tgrid)
         res = find_resonance(system, complex(levels[2].energy))
-        on = abs(matching_determinant(system, res.energy))
-        off = abs(matching_determinant(system, res.energy + 1e-4))
+        on = abs(system.determinant(res.energy))
+        off = abs(system.determinant(res.energy + 1e-4))
         assert on < 1e-6 * off
 
 
@@ -267,8 +267,8 @@ class TestBandedDeterminant:
 
     def test_frozen_four_block_root(self, h2plus, grid, free_levels):
         # reference value from the four-block ratio sweep this solver replaced
-        res = continued_resonance(h2plus, grid, 788.2, 1e12, free_levels[12].energy,
-                                  n_steps=8, n_blocks=4)
+        _, res = ramp_resonance(h2plus, FieldPoint(788.2, 1e12),
+                                free_levels[12].energy, 8, grid, n_blocks=4)
         assert abs(res.energy - (-0.012309094124283 - 9.600296206e-6j)) < 1e-10
 
 
@@ -279,9 +279,8 @@ class TestClassification:
         # feshbach-like
         expected = {12: "Shape", 13: "Feshbach"}
         for v, want in expected.items():
-            res = continued_resonance(h2plus, grid, 700.0, 1e12,
-                                      free_levels[v].energy, n_steps=8)
-            system = build_system(h2plus, FieldPoint(700.0, 1e12), grid)
+            system, res = ramp_resonance(h2plus, FieldPoint(700.0, 1e12),
+                                         free_levels[v].energy, 8, grid)
             assert classify_resonance(system, res) == want
 
 
