@@ -350,6 +350,9 @@ def cmd_ep_map(args, model, grid, cache):
         args, model,
         {"n_records": len(ordered), "n_cached": n_hits,
          "n_failed": len(failures),
+         "failures": [{"pair": [c.v, c.v_partner], "v_plus": c.v_plus,
+                       "lambda_guess": c.lambda_guess, "reason": msg}
+                      for c, msg in failures],
          "records": [r.to_dict() for r in ordered]}))
     print(f"{len(ordered)} coalescences ({n_hits} from cache, "
           f"{len(failures)} failed) -> {args.out}")

@@ -3,15 +3,21 @@
 The search runs in two stages.  A coarse stage scans the quasi-bound levels
 of the upper adiabatic well against the field-free levels and records every
 wavelength where the two families cross; each crossing seeds a candidate.
-A refinement stage then tracks the two resonances of the candidate pair
-through the parameter plane and drives the squared complex gap to zero with
-a damped Newton iteration.  The squared gap is used because the eigenvalue
-difference itself behaves like a square root near the coalescence and has
-no derivative there, while its square is smooth.
+A refinement stage walks the candidate pair up an intensity scan at the
+seed wavelength and starts a Newton iteration from the sample with the
+smallest gap.  An EP is a double root of the matching determinant,
+D(E) = 0 and dD/dE = 0 (Kato, Perturbation Theory for Linear Operators,
+1966), so the iteration solves those four real equations for
+(Re E, Im E, lambda, I) without assigning roots to branches.  Its
+certificate: every iterate stays within half the seed pair's gap of the
+pair's midpoint, so the double root lies between the walked pair, and the
+root gap of the local quadratic D + D' x + D'' x^2 / 2 falls below 1e-8
+within a fixed iteration budget.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -29,6 +35,8 @@ from .units import INTENSITY_UNIT
 DIAGNOSTIC_INTENSITY = 1.0e3
 
 _GAP_TOL = 1e-8
+_NEWTON_ITERS = 25
+_E_STEP = 1e-5         # hartree, stencil of D' and D''
 
 
 @dataclass(frozen=True)
@@ -310,131 +318,104 @@ class _PairPath:
 
 
 def _initial_intensity(path: _PairPath, lam, *, i_cap=0.6, n_scan=30):
-    """Scan intensity upward at fixed wavelength and return the gap
-    minimum, refined by a parabola through the bracketing samples."""
+    """Scan intensity upward at fixed wavelength; return the sample with the
+    smallest gap and the walked pair there."""
     path.seed(lam, 0.0)
-    best_i, best_g = None, math.inf
-    gaps = []
+    best_i, best_pair, best_g = None, None, math.inf
     step = i_cap / n_scan
     for k in range(1, n_scan + 1):
         i = k * step
-        e1, e2 = path.advance(lam, i)
-        g = abs(e1 - e2)
-        gaps.append((i, g))
+        pair = path.advance(lam, i)
+        g = abs(pair[0] - pair[1])
         if g < best_g:
-            best_i, best_g = i, g
-        elif g > 3.0 * best_g and len(gaps) >= 3:
+            best_i, best_pair, best_g = i, pair, g
+        elif g > 3.0 * best_g and k >= 3:
             break
-    k = next(j for j, (i, g) in enumerate(gaps) if i == best_i)
-    if 0 < k < len(gaps) - 1:
-        (ia, ga), (ib, gb), (ic, gc) = gaps[k - 1], gaps[k], gaps[k + 1]
-        denom = (ga - 2.0 * gb + gc)
-        if denom > 0:
-            best_i = ib + 0.5 * step * (ga - gc) / denom
-    return best_i, best_g
+    return best_i, best_pair
 
 
-def find_coalescence(pair_fn, lam0, i0, *, gap_tol=_GAP_TOL, d_lambda=0.02,
-                     d_intensity=0.002, max_iter=60):
-    """Drive the squared complex gap of a resonance pair to zero.
+def _taylor(det, e, h):
+    """D, D' and D'' at e from three determinants h apart."""
+    dm, d0, dp = det(e - h), det(e), det(e + h)
+    return d0, (dp - dm) / (2.0 * h), (dp - 2.0 * d0 + dm) / (h * h)
 
-    pair_fn(lambda_nm, intensity_1e13) must return the two branch energies
-    consistently labelled between calls.  Newton iterates on the two real
-    equations Re[(E1-E2)^2] = Im[(E1-E2)^2] = 0 with a central-difference
-    Jacobian; steps are capped and fall back to a simplex search on the
-    gap magnitude if the iteration stops making progress.
+
+def _quadratic_gap(d0, d1, d2):
+    """Distance between the two roots of D + D' x + D'' x^2 / 2."""
+    if d2 == 0:
+        return math.inf
+    return abs(2.0 * cmath.sqrt(d1 * d1 - 2.0 * d0 * d2) / d2)
+
+
+def find_double_root(det_at, e0, lam0, i0, radius, *, d_lambda=1e-3,
+                     d_intensity=1e-5):
+    """Newton on D = dD/dE = 0 for (Re E, Im E, lambda, I).
+
+    det_at(lambda_nm, intensity_1e13) returns the matching determinant
+    E -> D(E) of that field point.  D is analytic in E, so the E columns of
+    the Jacobian are D', i D' (and D'', i D''); the lambda and I columns are
+    forward differences on stepped systems.  Steps in lambda and I are
+    capped.  Every iterate must stay within ``radius`` of e0 (the seed
+    pair's midpoint and half-gap), so an accepted double root lies between
+    the seed pair; it is accepted once the root gap of the local quadratic
+    falls below 1e-8 within 25 steps.  Returns (lambda, intensity, E, gap).
     """
-    lam, inten = float(lam0), float(i0)
-
-    def gap_sq(l, i):
-        e1, e2 = pair_fn(l, i)
-        return (e1 - e2) ** 2, (e1, e2)
-
-    def newton(lam, inten, iters):
-        stall = 0
-        s, pair = gap_sq(lam, inten)
-        for _ in range(iters):
-            gap = math.sqrt(abs(s))
-            if gap < gap_tol:
-                return lam, inten, pair, gap
-            sp_l, _ = gap_sq(lam + d_lambda, inten)
-            sm_l, _ = gap_sq(lam - d_lambda, inten)
-            sp_i, _ = gap_sq(lam, inten + d_intensity)
-            sm_i, _ = gap_sq(lam, inten - d_intensity)
-            jac = np.array([
-                [(sp_l.real - sm_l.real) / (2 * d_lambda),
-                 (sp_i.real - sm_i.real) / (2 * d_intensity)],
-                [(sp_l.imag - sm_l.imag) / (2 * d_lambda),
-                 (sp_i.imag - sm_i.imag) / (2 * d_intensity)]])
-            try:
-                dx = np.linalg.solve(jac, -np.array([s.real, s.imag]))
-            except np.linalg.LinAlgError:
-                break
-            dx[0] = float(np.clip(dx[0], -4.0, 4.0))
-            dx[1] = float(np.clip(dx[1], -0.04, 0.04))
-            accepted = False
-            for _ in range(6):
-                trial = (lam + dx[0], max(inten + dx[1], 1e-4))
-                s_new, pair_new = gap_sq(*trial)
-                if abs(s_new) < abs(s):
-                    lam, inten = trial
-                    s, pair = s_new, pair_new
-                    accepted = True
-                    break
-                dx *= 0.5
-            if not accepted:
-                stall += 1
-                if stall >= 3:
-                    break
-            else:
-                stall = 0
-        return lam, inten, pair, math.sqrt(abs(s))
-
-    lam, inten, pair, gap = newton(lam, inten, max_iter)
-    if gap >= gap_tol:
-        from scipy.optimize import minimize
-
-        res = minimize(lambda x: abs(gap_sq(x[0], max(x[1], 1e-4))[0]),
-                       [lam, inten], method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 0.0,
-                                "initial_simplex": [
-                                    [lam, inten],
-                                    [lam + 0.5, inten],
-                                    [lam, inten + 0.005]],
-                                "maxiter": 200})
-        lam, inten, pair, gap = newton(res.x[0], max(res.x[1], 1e-4), max_iter)
-    if gap >= gap_tol:
-        raise ConvergenceError(
-            f"coalescence search stalled with gap {gap:.3e}", last_value=gap)
-    return lam, inten, pair, gap
+    e, lam, inten = complex(e0), float(lam0), float(i0)
+    for _ in range(_NEWTON_ITERS):
+        d0, d1, d2 = _taylor(det_at(lam, inten), e, _E_STEP)
+        gap = _quadratic_gap(d0, d1, d2)
+        if gap < _GAP_TOL:
+            return lam, inten, e, gap
+        cols = []
+        for dl, di in ((d_lambda, 0.0), (0.0, d_intensity)):
+            s0, s1, _ = _taylor(det_at(lam + dl, inten + di), e, _E_STEP)
+            cols.append(((s0 - d0) / (dl + di), (s1 - d1) / (dl + di)))
+        jac = np.array([[d1, 1j * d1, cols[0][0], cols[1][0]],
+                        [d2, 1j * d2, cols[0][1], cols[1][1]]])
+        try:
+            dx = np.linalg.solve(np.vstack([jac.real, jac.imag]),
+                                 -np.array([d0.real, d1.real, d0.imag, d1.imag]))
+        except np.linalg.LinAlgError:
+            raise ConvergenceError("singular double-root Jacobian",
+                                   last_value=e) from None
+        e += complex(dx[0], dx[1])
+        lam += float(np.clip(dx[2], -4.0, 4.0))
+        inten = max(inten + float(np.clip(dx[3], -0.04, 0.04)), 1e-4)
+        if abs(e - e0) > radius:
+            raise ConvergenceError(
+                f"Newton iterate left the seed pair: |E - E0| = "
+                f"{abs(e - e0):.3e} > half-gap {radius:.3e}", last_value=e)
+    raise ConvergenceError(f"double-root Newton stalled with gap {gap:.3e} "
+                           f"after {_NEWTON_ITERS} iterations",
+                           iterations=_NEWTON_ITERS, last_value=e)
 
 
 def refine_ep(model: MoleculeModel, candidate: EPCandidate,
               grid: RadialGrid | None = None, *, n_blocks=2,
-              pair_fn=None, i_cap=0.6) -> EPRecord:
+              i_cap=0.6) -> EPRecord:
     """Refine a candidate to a coalescence in the (wavelength, intensity)
     plane.
 
-    pair_fn overrides the resonance-pair evaluator; the default tracks the
-    candidate's pair with adaptive continuation from zero field.  The
-    override exists so closed-form two-level models can exercise the same
-    search (and so tests can pin the machinery independently of the
-    molecular solve).
+    The candidate's pair is continued from zero field up the intensity scan
+    at the seed wavelength; the sample with the smallest gap seeds the
+    double-root Newton of find_double_root on the matching determinant.
     """
-    if pair_fn is None:
-        path = _PairPath(model, candidate.v, candidate.v_partner, grid,
-                         n_blocks=n_blocks)
-        i0, gap0 = _initial_intensity(path, candidate.lambda_guess, i_cap=i_cap)
-        if i0 is None:
-            raise ConvergenceError("no gap minimum along the intensity scan")
-        pair_fn = path.advance
-        lam0 = candidate.lambda_guess
-    else:
-        lam0, i0 = candidate.lambda_guess, i_cap * 0.5
-    lam, inten, pair, gap = find_coalescence(pair_fn, lam0, i0)
+    path = _PairPath(model, candidate.v, candidate.v_partner, grid,
+                     n_blocks=n_blocks)
+    i0, pair = _initial_intensity(path, candidate.lambda_guess, i_cap=i_cap)
+    if pair is None:
+        raise ConvergenceError("no gap minimum along the intensity scan")
+    e1, e2 = pair
+
+    def det_at(lam, inten):
+        return build_system(model, FieldPoint(lam, inten * INTENSITY_UNIT),
+                            path.grid, n_blocks=n_blocks).determinant
+
+    lam, inten, e_ep, gap = find_double_root(
+        det_at, 0.5 * (e1 + e2), candidate.lambda_guess, i0, 0.5 * abs(e1 - e2))
     return EPRecord(pair=(candidate.v, candidate.v_partner),
                     lambda_ep=lam, intensity_ep=inten, gap_residual=gap,
-                    e_ep=0.5 * (pair[0] + pair[1]), v_plus=candidate.v_plus)
+                    e_ep=e_ep, v_plus=candidate.v_plus)
 
 
 def verify_signature(model: MoleculeModel, ep: EPRecord, d_lambda: float = 0.05,

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from floqep.bound_states import vibrational_levels
-from floqep.ep import EPCandidate, approximate_eps, refine_ep
+from floqep.ep import (EPCandidate, approximate_eps, find_double_root,
+                       refine_ep)
 from floqep.errors import ConvergenceError, ModelError
 from floqep.floquet import build_system, find_resonance
 from floqep.loops import (LoopSpec, Trajectory, TrajectorySample,
@@ -185,7 +186,7 @@ def test_weak_field_limit_recovers_bound_levels(h2plus):
         assert res.width < 1e-10, f"v={lv.v}: width {res.width:.3e} hartree"
 
 
-def test_closed_form_oracles(h2plus):
+def test_closed_form_oracles():
     """Two independent anchors: the analytic Morse spectrum (1e-8
     relative) and a two-level model with an exactly placed coalescence
     (1e-6 relative on both coordinates)."""
@@ -200,16 +201,18 @@ def test_closed_form_oracles(h2plus):
 
     e0 = -0.012 - 0.0015j
 
-    def pair(lam, inten):
-        s = cmath.sqrt(2.5e-4 * (lam - 600.0) + 1j * 4.0e-4 * (inten - 0.2))
-        return e0 + s, e0 - s
+    def s2(lam, inten):
+        return 2.5e-4 * (lam - 600.0) + 1j * 4.0e-4 * (inten - 0.2)
 
-    rec = refine_ep(h2plus, EPCandidate(v=0, v_partner=1, v_plus=0,
-                                        lambda_guess=601.0),
-                    pair_fn=pair, i_cap=0.5)
-    assert rec.lambda_ep == pytest.approx(600.0, rel=1e-6)
-    assert rec.intensity_ep == pytest.approx(0.2, rel=1e-6)
-    assert rec.e_ep == pytest.approx(e0, abs=1e-8)
+    def det_at(lam, inten):
+        return lambda e: (e - e0) ** 2 - s2(lam, inten)
+
+    # seeded like refine_ep: the pair e0 +/- s at the candidate wavelength
+    lam, inten, e_ep, _ = find_double_root(det_at, e0, 601.0, 0.25,
+                                           abs(cmath.sqrt(s2(601.0, 0.25))))
+    assert lam == pytest.approx(600.0, rel=1e-6)
+    assert inten == pytest.approx(0.2, rel=1e-6)
+    assert e_ep == pytest.approx(e0, abs=1e-8)
 
 
 def test_resonance_invariant_under_contour_changes(h2plus):

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from floqep import bound_states
 from floqep.bound_states import (
-    BoundLevel,
     _Shooter,
     adiabatic_levels,
     vibrational_levels,

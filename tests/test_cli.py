@@ -148,6 +148,12 @@ class TestEpWorkflow:
         doc = json.loads((out / "ep_map.json").read_text())
         assert doc["results"]["n_records"] == 2
         assert doc["results"]["n_cached"] == 0
+        # the (9,10) candidate fails, and ep_map.json says why
+        fails = doc["results"]["failures"]
+        assert doc["results"]["n_failed"] == len(fails) == 1
+        assert (fails[0]["pair"], fails[0]["v_plus"]) == ([9, 10], 0)
+        assert fails[0]["lambda_guess"] == pytest.approx(648.52, abs=0.01)
+        assert fails[0]["reason"].startswith("Newton iterate left the seed pair")
         # the CSV reloads the records of ep_map.json, e_ep and v_plus included
         for rec, d in zip(records_from_csv(out / "ep_map.csv"),
                           doc["results"]["records"]):

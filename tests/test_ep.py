@@ -1,31 +1,34 @@
 import cmath
 import json
-import math
 
-import numpy as np
 import pytest
 
 from floqep.ep import (
     EPCandidate,
+    _quadratic_gap,
+    _taylor,
     EPRecord,
     approximate_eps,
     cluster_bands,
     cplus_minimum_wavelength,
     crossing_radius,
-    find_coalescence,
+    find_double_root,
     records_from_csv,
     records_to_csv,
     refine_ep,
     verify_signature,
 )
 from floqep.errors import ConvergenceError, ModelError
+from floqep.floquet import build_system, find_resonance
 from floqep.molecule import (
+    FieldPoint,
     MoleculeModel,
     exp_repulsive,
     linear_dipole,
     load_molecule,
     morse_curve,
 )
+from floqep.units import INTENSITY_UNIT
 
 
 @pytest.fixture(scope="module")
@@ -35,22 +38,38 @@ def h2plus():
 
 @pytest.fixture(scope="module")
 def ep1213(h2plus):
-    # crossing seed frozen from the coarse scan; the refinement drives the
-    # squared gap below 1e-8 from here in a handful of Newton steps
+    # crossing seed frozen from the coarse scan; the double-root Newton
+    # converges from the walked pair in a handful of steps
     cand = EPCandidate(v=12, v_partner=13, v_plus=2, lambda_guess=635.95)
     return refine_ep(h2plus, cand)
 
 
-# closed-form pair with an exact coalescence at (600 nm, 0.2): the squared
-# gap is linear in both parameters, the eigenvalue gap a pure square root
+# closed-form determinant D = (E - E0)^2 - s^2 with a double root at
+# (600 nm, 0.2): s^2 is linear in both parameters, the root gap 2|s| a pure
+# square root
 TOY_E0 = -0.012 - 0.0015j
 TOY_A = 2.5e-4
 TOY_B = 4.0e-4
 
 
+def toy_s2(lam, inten):
+    return TOY_A * (lam - 600.0) + 1j * TOY_B * (inten - 0.2)
+
+
 def toy_pair(lam, inten):
-    s = cmath.sqrt(TOY_A * (lam - 600.0) + 1j * TOY_B * (inten - 0.2))
+    s = cmath.sqrt(toy_s2(lam, inten))
     return TOY_E0 + s, TOY_E0 - s
+
+
+def toy_det(lam, inten, centre=TOY_E0):
+    s2 = toy_s2(lam, inten)
+    return lambda e: (e - centre) ** 2 - s2
+
+
+def seed(lam, inten):
+    """find_double_root's seed arguments from the toy pair at (lam, inten)."""
+    e1, e2 = toy_pair(lam, inten)
+    return 0.5 * (e1 + e2), lam, inten, 0.5 * abs(e1 - e2)
 
 
 class TestCandidateScan:
@@ -81,16 +100,16 @@ class TestCandidateScan:
 
 class TestCoalescenceSearch:
     def test_toy_ep_to_machine_precision(self):
-        lam, inten, pair, gap = find_coalescence(toy_pair, 601.5, 0.26)
+        lam, inten, e, gap = find_double_root(toy_det, *seed(601.5, 0.26))
         assert lam == pytest.approx(600.0, abs=1e-9)
         assert inten == pytest.approx(0.2, abs=1e-9)
         assert gap < 1e-8
-        assert pair[0] == pytest.approx(TOY_E0, abs=1e-8)
+        assert e == pytest.approx(TOY_E0, abs=1e-8)
 
     def test_fd_step_independence(self):
-        coarse = find_coalescence(toy_pair, 601.5, 0.26,
+        coarse = find_double_root(toy_det, *seed(601.5, 0.26),
                                   d_lambda=0.02, d_intensity=0.002)
-        fine = find_coalescence(toy_pair, 601.5, 0.26,
+        fine = find_double_root(toy_det, *seed(601.5, 0.26),
                                 d_lambda=0.002, d_intensity=0.0002)
         assert coarse[0] == pytest.approx(fine[0], abs=1e-9)
         assert coarse[1] == pytest.approx(fine[1], abs=1e-9)
@@ -104,22 +123,54 @@ class TestCoalescenceSearch:
         # the squared gap is linear, so quadrupling the offset quadruples it
         assert gap(0.04) ** 2 / gap(0.01) ** 2 == pytest.approx(4.0, rel=1e-9)
 
+    def test_quadratic_gap_is_root_gap(self):
+        # gap_residual: the root gap of the local quadratic, wherever the
+        # three-point stencil sits
+        for e in (TOY_E0, TOY_E0 + 3e-4 - 1e-4j):
+            e1, e2 = toy_pair(600.5, 0.23)
+            got = _quadratic_gap(*_taylor(toy_det(600.5, 0.23), e, 1e-5))
+            assert got == pytest.approx(abs(e1 - e2), rel=1e-6)
+
     def test_unreachable_gap_raises(self):
-        def stuck_pair(lam, inten):
+        def stuck_det(lam, inten):
             s = TOY_A * (lam - 600.0) ** 2 + 1e-4 + 1j * TOY_B * (inten - 0.2)
-            root = cmath.sqrt(s)
-            return TOY_E0 + 0.5 * root, TOY_E0 - 0.5 * root
+            return lambda e: (e - TOY_E0) ** 2 - 0.25 * s
 
         with pytest.raises(ConvergenceError, match="stalled"):
-            find_coalescence(stuck_pair, 600.0, 0.2)
+            find_double_root(stuck_det, TOY_E0, 600.0, 0.2, 5e-3)
 
-    def test_refine_ep_with_custom_pair(self, h2plus):
-        cand = EPCandidate(v=0, v_partner=1, v_plus=0, lambda_guess=601.0)
-        rec = refine_ep(h2plus, cand, pair_fn=toy_pair, i_cap=0.5)
-        assert rec.lambda_ep == pytest.approx(600.0, rel=1e-6)
-        assert rec.intensity_ep == pytest.approx(0.2, rel=1e-6)
-        assert rec.e_ep == pytest.approx(TOY_E0, abs=1e-8)
-        assert rec.gap_residual < 1e-8
+    def test_simple_roots_only_raise(self):
+        # D'' vanishes identically, so D = D' = 0 has no solution
+        def simple_det(lam, inten):
+            s2 = toy_s2(lam, inten)
+            return lambda e: e - TOY_E0 - s2
+
+        with pytest.raises(ConvergenceError, match="singular"):
+            find_double_root(simple_det, *seed(601.5, 0.26))
+
+    @pytest.mark.parametrize("offset, inside", [(0.01, True), (0.03, False)])
+    def test_double_root_must_lie_between_the_seed_pair(self, offset, inside):
+        # the seed pair at (601.5, 0.26) has half-gap 0.0194 about TOY_E0
+        def det_at(lam, inten):
+            return toy_det(lam, inten, centre=TOY_E0 + offset)
+
+        if inside:
+            lam, inten, e, gap = find_double_root(det_at, *seed(601.5, 0.26))
+            assert (lam, inten) == (pytest.approx(600.0, abs=1e-9),
+                                    pytest.approx(0.2, abs=1e-9))
+            assert e == pytest.approx(TOY_E0 + offset, abs=1e-8)
+        else:
+            with pytest.raises(ConvergenceError, match="left the seed pair"):
+                find_double_root(det_at, *seed(601.5, 0.26))
+
+    def test_refine_seed_on_closed_form(self):
+        # the seed refine_ep used for closed-form models: the candidate
+        # wavelength and half the intensity cap
+        lam, inten, e, gap = find_double_root(toy_det, *seed(601.0, 0.25))
+        assert lam == pytest.approx(600.0, rel=1e-6)
+        assert inten == pytest.approx(0.2, rel=1e-6)
+        assert e == pytest.approx(TOY_E0, abs=1e-8)
+        assert gap < 1e-8
 
     def test_pair_outside_bound_spectrum(self, h2plus):
         cand = EPCandidate(v=25, v_partner=26, v_plus=2, lambda_guess=600.0)
@@ -138,6 +189,17 @@ class TestRefinedRecord:
     def test_frozen_common_energy(self, ep1213):
         assert ep1213.e_ep.real == pytest.approx(-0.0094954, abs=2e-5)
         assert ep1213.e_ep.imag == pytest.approx(-0.0015346, abs=2e-5)
+
+    def test_two_roots_meet_at_e_ep(self, h2plus, ep1213):
+        # independent of the quadratic gap estimate: secant solves started
+        # on either side of e_ep, the second deflated by the first, both
+        # land on the double root
+        system = build_system(h2plus, FieldPoint(
+            ep1213.lambda_ep, ep1213.intensity_ep * INTENSITY_UNIT))
+        r1 = find_resonance(system, ep1213.e_ep + 1e-5)
+        r2 = find_resonance(system, ep1213.e_ep - 1e-5, deflate=(r1.energy,))
+        assert abs(r1.energy - ep1213.e_ep) < 1e-7
+        assert abs(r2.energy - ep1213.e_ep) < 1e-7
 
     def test_record_rejects_nonpositive_intensity(self):
         with pytest.raises(ModelError, match="positive"):

@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from numpy.testing import assert_allclose
 
 from floqep.bound_states import vibrational_levels
 from floqep.errors import ConvergenceError, GridError, ModelError
