@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .bound_states import adiabatic_levels, vibrational_levels
 from .errors import ConvergenceError, ModelError
@@ -37,6 +38,7 @@ DIAGNOSTIC_INTENSITY = 1.0e3
 _GAP_TOL = 1e-8
 _NEWTON_ITERS = 25
 _E_STEP = 1e-5         # hartree, stencil of D' and D''
+_TRUST_JUMPS = 4.0     # pair-solve trust radius around the guess, in max_jump
 
 
 @dataclass(frozen=True)
@@ -151,10 +153,12 @@ def approximate_eps(model: MoleculeModel, v_range, vplus_range,
                     scan_step: float = 4.0) -> list[EPCandidate]:
     """Coarse EP wavelengths from crossings of the two level families.
 
-    The upper-well levels are computed at DIAGNOSTIC_INTENSITY on a dense
-    wavelength grid; every sign change of E_v - E_{v+}(lambda) is refined
-    by bisection.  Wavelengths whose crossing falls inside the equilibrium
-    distance are excluded.  Pairs without a crossing are skipped silently.
+    The upper-well levels are computed once per wavelength of a table at
+    DIAGNOSTIC_INTENSITY, ``scan_step`` nm apart; every sign change of
+    E_v - E_{v+}(lambda) in the table is located on a cubic spline through
+    the table points around it, with no further level solves.  Wavelengths
+    whose crossing falls inside the equilibrium distance are excluded.  Pairs
+    without a crossing are skipped silently.
     """
     v_range = list(v_range)
     vplus_range = list(vplus_range)
@@ -197,17 +201,15 @@ def approximate_eps(model: MoleculeModel, v_range, vplus_range,
                 fa, fb = ev - ea, ev - eb
                 if fa == 0.0 or fa * fb > 0.0:
                     continue
+                # cubic spline over the table points around the sign change;
+                # it interpolates fa and fb, so it has a root in [la, lb]
+                # (at lb itself when fb is 0)
                 la, lb = grid_lam[k], grid_lam[k + 1]
-                while lb - la > 0.05:
-                    lm = 0.5 * (la + lb)
-                    em = well_levels(lm).get(vp)
-                    if em is None:
-                        break
-                    if (ev - em) * fa <= 0.0:
-                        lb = lm
-                    else:
-                        la, fa = lm, ev - em
-                lam_c = 0.5 * (la + lb)
+                near = [j for j in range(k - 1, k + 3)
+                        if 0 <= j < len(grid_lam) and vp in table[j]]
+                spline = CubicSpline(grid_lam[near], [ev - table[j][vp] for j in near])
+                lam_c = float(next((r for r in spline.solve(0.0, extrapolate=False)
+                                    if la <= r <= lb), lb))
                 rx = crossing_radius(model, lam_c)
                 if rx is None:
                     continue
@@ -224,9 +226,12 @@ class _PairPath:
     A walk proceeds in straight segments from the last accepted point,
     splitting the segment whenever a solve fails, the two roots cannot be
     assigned unambiguously, or a branch moves farther than max_jump in one
-    step.  Predictions come from a local linear model of each branch over
-    the recent history, which stays valid when the walk zig-zags (the
-    refinement stage probes a finite-difference stencil).
+    step.  A solve fails as soon as its secant strays 4 max_jump from the
+    prediction: predictions sit close to the last point, so a root that far
+    off would fail the jump test anyway.  Predictions come from a local
+    linear model of each branch over the recent history, which stays valid
+    when the walk zig-zags (the refinement stage probes a finite-difference
+    stencil).
     """
 
     _LAM_SCALE = 1.0       # nm per walk unit
@@ -252,8 +257,9 @@ class _PairPath:
     def _solve_pair(self, lam, inten, guesses):
         system = build_system(self.model, FieldPoint(lam, inten * INTENSITY_UNIT),
                               self.grid, n_blocks=self.n_blocks)
-        r1 = find_resonance(system, guesses[0])
-        r2 = find_resonance(system, guesses[1], deflate=(r1.energy,))
+        radius = _TRUST_JUMPS * self.max_jump
+        r1 = find_resonance(system, guesses[0], radius=radius)
+        r2 = find_resonance(system, guesses[1], deflate=(r1.energy,), radius=radius)
         found = (r1.energy, r2.energy)
         # assign found roots to predicted branches; swap when it is clearly
         # better, reject when neither assignment separates the branches

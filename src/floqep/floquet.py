@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _DE_TOL = 1e-12        # secant convergence on |dE|
+_FLOOR_STEP = 1e-8     # |dE| below this is the local, superlinear regime
 _MAX_SECANT = 50
 _IM_TOL = 1e-12        # tolerated positive imaginary part before rejection
 _MAX_STEP = 2e-3       # cap on a single secant step, hartree
@@ -361,11 +362,16 @@ def build_system(model: MoleculeModel, field: FieldPoint, grid: RadialGrid | Non
 
 
 def find_resonance(system: CoupledSystem, e_guess: complex, label: int | None = None,
-                   *, deflate: tuple = (), max_step: float = _MAX_STEP) -> Resonance:
+                   *, deflate: tuple = (), max_step: float = _MAX_STEP,
+                   radius: float = math.inf) -> Resonance:
     """Secant iteration in the complex plane from e_guess to one quasienergy.
 
     ``deflate`` divides out already-known roots so a nearby second root can be
-    resolved (needed close to a coalescence).
+    resolved (needed close to a coalescence).  The iteration stops once a
+    step falls below 1e-12, or once a step below 1e-8 fails to shrink: the
+    secant converges superlinearly there, so a step that does not shrink is
+    the rounding noise of the determinant, not progress.  An iterate farther
+    than ``radius`` from e_guess fails at once.
     """
 
     def f(e: complex) -> complex:
@@ -374,10 +380,14 @@ def find_resonance(system: CoupledSystem, e_guess: complex, label: int | None = 
             d /= (e - r)
         return d
 
+    def undeflated(e, fe):
+        # |determinant| at e from the deflated value fe
+        return abs(fe) * math.prod(abs(e - r) for r in deflate)
+
     e0 = complex(e_guess)
     e1 = e0 + 1e-9
     f0, f1 = f(e0), f(e1)
-    peak = max(abs(f0), abs(f1))
+    last = math.inf
     for _ in range(_MAX_SECANT):
         denom = f1 - f0
         if denom == 0 or not (cmath.isfinite(f1) and cmath.isfinite(f0)):
@@ -385,24 +395,30 @@ def find_resonance(system: CoupledSystem, e_guess: complex, label: int | None = 
             f1 = f(e1)
             continue
         step = -f1 * (e1 - e0) / denom
-        if abs(step) > max_step:
-            step *= max_step / abs(step)
+        size = abs(step)
+        if size > max_step:
+            step *= max_step / size
         e0, f0 = e1, f1
         e1 = e1 + step
+        if abs(e1 - e_guess) > radius:
+            raise ConvergenceError(
+                f"secant left its trust radius: |E - guess| = "
+                f"{abs(e1 - e_guess):.3e} > {radius:.3e}", last_value=e1)
         f1 = f(e1)
-        peak = max(peak, abs(f1))
-        if abs(step) < _DE_TOL:
+        floor = last <= size < _FLOOR_STEP
+        last = size
+        if size < _DE_TOL or floor:
             if e1.imag > _IM_TOL:
                 raise ConvergenceError(
                     f"converged to the unphysical sheet (Im E = {e1.imag:.3e})",
                     last_value=e1)
-            # |determinant| at e1, undoing the deflation of the last secant value
-            resid = abs(f1) * math.prod(abs(e1 - r) for r in deflate)
             energy = complex(e1.real, min(e1.imag, 0.0))
             return Resonance(energy=energy, width=-2.0 * energy.imag, label=label,
-                             residual=resid)
-    raise ConvergenceError("no quasienergy within 50 secant iterations",
-                           iterations=_MAX_SECANT, last_value=e1)
+                             residual=undeflated(e1, f1))
+    raise ConvergenceError(
+        f"no quasienergy within {_MAX_SECANT} secant iterations "
+        f"(last |dE| = {last:.3e}, |D| = {undeflated(e1, f1):.3e})",
+        iterations=_MAX_SECANT, last_value=e1)
 
 
 def ramp_resonance(model: MoleculeModel, field: FieldPoint, e_start: complex,

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from floqep import ep
 from floqep.ep import (
     EPCandidate,
     _quadratic_gap,
@@ -19,7 +20,7 @@ from floqep.ep import (
     verify_signature,
 )
 from floqep.errors import ConvergenceError, ModelError
-from floqep.floquet import build_system, find_resonance
+from floqep.floquet import CoupledSystem, build_system, find_resonance
 from floqep.molecule import (
     FieldPoint,
     MoleculeModel,
@@ -96,6 +97,44 @@ class TestCandidateScan:
         assert set(got) == {(12, 13, 2), (13, 14, 3)}
         assert got[(12, 13, 2)] == pytest.approx(635.95, abs=0.5)
         assert got[(13, 14, 3)] == pytest.approx(602.58, abs=0.5)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call is counted; returns the counter."""
+    calls = [0]
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestWorkBudget:
+    """Counts that do not depend on the machine: a change that makes the
+    scan or the walk do more work fails here, not only in a timing."""
+
+    def test_scan_solves_each_table_wavelength_once(self, h2plus, monkeypatch):
+        calls = count_calls(monkeypatch, ep, "adiabatic_levels")
+        cands = approximate_eps(h2plus, range(17), range(6), (596.0, 655.0))
+        assert calls[0] == 16          # 596, 600, ..., 652, 655 nm
+        got = {(c.v, c.v_plus): c.lambda_guess for c in cands}
+        # reference seeds: the crossings bisected on fresh level solves to 0.05 nm
+        want = {(9, 0): 648.5156, (12, 2): 635.9531, (13, 3): 602.5781}
+        assert set(got) == set(want)
+        for key, lam in want.items():
+            assert got[key] == pytest.approx(lam, abs=0.01)
+
+    def test_failing_seed_walk_gives_up_cheaply(self, h2plus, monkeypatch):
+        # secants that wander off give up at the trust radius instead of
+        # running out of iterations; without that the walk costs 2397
+        calls = count_calls(monkeypatch, CoupledSystem, "determinant")
+        cand = EPCandidate(v=9, v_partner=10, v_plus=0, lambda_guess=648.515625)
+        with pytest.raises(ConvergenceError, match="Newton iterate left the seed pair"):
+            refine_ep(h2plus, cand)
+        assert calls[0] <= 1200
 
 
 class TestCoalescenceSearch:

@@ -1,3 +1,6 @@
+import cmath
+import random
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -269,6 +272,49 @@ class TestBandedDeterminant:
         assert abs(res.energy - (-0.012309094124283 - 9.600296206e-6j)) < 1e-10
 
 
+class CountingSystem:
+    """A system, or a stub with a determinant, that counts evaluations."""
+
+    def __init__(self, system):
+        self.system = system
+        self.calls = 0
+
+    def determinant(self, e):
+        self.calls += 1
+        return self.system.determinant(e)
+
+
+class NoisyLinear:
+    """D(E) = E - root plus deterministic noise of about 1e-10 per evaluation,
+    so the root is only defined to the noise floor."""
+
+    root = -0.02 - 0.003j
+
+    def determinant(self, e):
+        rng = random.Random(hash(e))
+        return e - self.root + 1e-10 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+class TestSecantFloor:
+    @pytest.mark.parametrize("k", range(8))
+    def test_noisy_root_stops_at_the_floor(self, k):
+        # steps shrink superlinearly down to the noise and then, on average,
+        # stop shrinking; waiting for a step below 1e-12 instead takes 12 to
+        # over 50 iterations from these starts, as the steps random-walk down
+        counted = CountingSystem(NoisyLinear())
+        res = find_resonance(counted, NoisyLinear.root + 1e-3 * cmath.exp(1j * k))
+        assert abs(res.energy - NoisyLinear.root) < 1e-9
+        assert counted.calls <= 16
+
+    def test_broad_root_at_the_floor(self, h2plus, grid):
+        # a broad v = 9 resonance where |D| bottoms out near 1e-8; the
+        # reference root took 32 determinants to a step below 1e-12
+        counted = CountingSystem(build_system(h2plus, FieldPoint(648.515625, 0.49e13), grid))
+        res = find_resonance(counted, -0.029015 - 0.005705j)
+        assert abs(res.energy - (-0.029014580195 - 0.005705068501j)) < 1e-9
+        assert counted.calls <= 10
+
+
 class TestClassification:
     def test_characters_across_the_crossing(self, h2plus, grid, free_levels):
         # at 700 nm the crossing sits between the v = 12 and v = 13 outer
@@ -301,6 +347,22 @@ class TestGuards:
         # no root below the well floor, and the step cap keeps the iterate there
         with pytest.raises(ConvergenceError, match="secant"):
             find_resonance(system, complex(-0.3), max_step=1e-6)
+
+    def test_exhausted_budget_reports_last_step_and_residual(self, h2plus, grid):
+        system = build_system(h2plus, FieldPoint(600.0, 1e12), grid)
+        with pytest.raises(ConvergenceError,
+                           match=r"50 secant iterations \(last \|dE\| = .*, \|D\| = "):
+            find_resonance(system, complex(-0.3), max_step=1e-6)
+
+    def test_trust_radius_aborts_a_wandering_secant(self, h2plus, grid, free_levels):
+        # 1e-3 hartree off the v = 12 root, the first step already leaves
+        # a 1e-5 disc around the guess
+        counted = CountingSystem(build_system(h2plus, FieldPoint(788.2, 1e12), grid))
+        guess = complex(free_levels[12].energy) + 1e-3
+        with pytest.raises(ConvergenceError,
+                           match=r"trust radius: \|E - guess\| = .* > 1\.000e-05"):
+            find_resonance(counted, guess, radius=1e-5)
+        assert counted.calls == 2
 
     def test_resonance_rejects_negative_width(self):
         with pytest.raises(ValueError, match="non-negative"):
