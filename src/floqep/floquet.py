@@ -11,10 +11,10 @@ ends then selects complex quasienergies E = E_R - i Gamma/2.
 Eigenvalues are roots of the matching determinant det(R_m - G_{m+1}^-1) of
 the renormalized Numerov ratio matrices at an interior point m; a dedicated
 one-point stencil bridges the real/rotated step mismatch at the scaling corner.
-Two blocks propagate the ratios outward from the origin and inward from the
-contour end.  Four or more blocks take the same ratios from banded
-boundary-value solves of the Numerov equations (the ratios are the block
-pivots of that banded LU; B. R. Johnson, J. Chem. Phys. 69, 4678 (1978)).
+For every block count the ratios come from two banded boundary-value solves
+of the Numerov equations, outward from the origin and inward from the contour
+end (the ratios are the block pivots of that banded LU; B. R. Johnson,
+J. Chem. Phys. 69, 4678 (1978)).
 """
 
 from __future__ import annotations
@@ -84,8 +84,7 @@ class CoupledSystem:
     """Discretized coupled problem, ready for determinant evaluation.
 
     Immutable after construction; precomputes all energy-independent grid
-    quantities so one determinant evaluation costs a single sweep (two
-    blocks) or two banded solves (four or more).
+    quantities so one determinant evaluation costs two banded solves.
     """
 
     def __init__(self, model: MoleculeModel, field: FieldPoint, grid: RadialGrid,
@@ -194,22 +193,6 @@ class CoupledSystem:
                   + qq * (self._w2c + w0 @ w0) + pw * c0)
         return a_plus, a_minus, a_zero
 
-    def _cross_corner(self, g_next: np.ndarray, e: complex) -> np.ndarray:
-        """Carry the inward F-ratio across the corner: G_{c+1} -> G_c."""
-        c = self._corner
-        eye = np.eye(len(self.blocks), dtype=complex)
-        pb = self._b * self._b / 12.0
-        pa = self._h * self._h / 12.0
-        wc = self._w0c - self._2m * e * eye
-        fb_c = eye - pb * wc
-        fb_c1 = eye - pb * self._wmat(c + 1, e)
-        phi_ratio = np.linalg.solve(fb_c, g_next @ fb_c1)   # phi_c phi_{c+1}^-1
-        a_plus, a_minus, a_zero = self._corner_matrices(e)
-        g_c_phi = np.linalg.solve(a_minus, a_zero - a_plus @ np.linalg.inv(phi_ratio))
-        fa_cm1 = eye - pa * self._wmat(c - 1, e)
-        fa_c = eye - pa * wc
-        return fa_cm1 @ g_c_phi @ np.linalg.inv(fa_c)
-
     def _wmat(self, k: int, e: complex) -> np.ndarray:
         nb = len(self.blocks)
         w = np.zeros((nb, nb), dtype=complex)
@@ -222,53 +205,6 @@ class CoupledSystem:
     # -- determinant -------------------------------------------------------
     def determinant(self, e: complex) -> complex:
         """det(R_m - G_{m+1}^-1) at the matching point; zero at quasienergies.
-
-        Two blocks run the scalar ratio sweep, more blocks the banded solves.
-        """
-        if len(self.blocks) == 2:
-            return self._det_two(e)
-        return self._det_banded(e)
-
-    def _det_two(self, e: complex) -> complex:
-        p2m = self._p * self._2m
-        tg = p2m * (self._vdiag[0] - e)
-        tu = p2m * (self._vdiag[1] - e)
-        tc = self._p * self._woff
-        dg = 1.0 - tg
-        du = 1.0 - tu
-        det = dg * du - tc * tc
-        ug = (12.0 * du / det - 10.0).tolist()
-        uu = (12.0 * dg / det - 10.0).tolist()
-        uc = (12.0 * tc / det).tolist()
-
-        m = self.matching_index
-        c = self._corner
-        n = len(ug)
-
-        rg, rc, ru = ug[1], uc[1], uu[1]
-        for k in range(2, m + 1):
-            d = rg * ru - rc * rc
-            rg, rc, ru = ug[k] - ru / d, uc[k] + rc / d, uu[k] - rg / d
-
-        gg, gc, gu = ug[n - 2], uc[n - 2], uu[n - 2]
-        for k in range(n - 3, c, -1):
-            d = gg * gu - gc * gc
-            gg, gc, gu = ug[k] - gu / d, uc[k] + gc / d, uu[k] - gg / d
-
-        g_mat = self._cross_corner(np.array([[gg, gc], [gc, gu]]), e)
-        gg, gc, gu = g_mat[0, 0], g_mat[0, 1], g_mat[1, 1]
-        for k in range(c - 1, m, -1):
-            d = gg * gu - gc * gc
-            gg, gc, gu = ug[k] - gu / d, uc[k] + gc / d, uu[k] - gg / d
-
-        d = gg * gu - gc * gc
-        m11 = rg - gu / d
-        m12 = rc + gc / d
-        m22 = ru - gg / d
-        return m11 * m22 - m12 * m12
-
-    def _det_banded(self, e: complex) -> complex:
-        """The same det(R_m - G_{m+1}^-1), from two banded boundary-value solves.
 
         The Numerov rows 1..m (outward) and m+1..n-2 (inward) are solved for
         psi with psi_{m+1} = I, resp. psi_m = I, pinned; the ratios follow from
@@ -368,9 +304,10 @@ def find_resonance(system: CoupledSystem, e_guess: complex, label: int | None = 
 
     ``deflate`` divides out already-known roots so a nearby second root can be
     resolved (needed close to a coalescence).  The iteration stops once a
-    step falls below 1e-12, or once a step below 1e-8 fails to shrink: the
-    secant converges superlinearly there, so a step that does not shrink is
-    the rounding noise of the determinant, not progress.  An iterate farther
+    step falls below 1e-12, or once a step below 1e-8 fails to halve the one
+    before it: the secant converges superlinearly there, so each step is far
+    below half the previous one, and a step that does not halve is the
+    rounding noise of the determinant, not progress.  An iterate farther
     than ``radius`` from e_guess fails at once.
     """
 
@@ -405,7 +342,7 @@ def find_resonance(system: CoupledSystem, e_guess: complex, label: int | None = 
                 f"secant left its trust radius: |E - guess| = "
                 f"{abs(e1 - e_guess):.3e} > {radius:.3e}", last_value=e1)
         f1 = f(e1)
-        floor = last <= size < _FLOOR_STEP
+        floor = 0.5 * last <= size < _FLOOR_STEP
         last = size
         if size < _DE_TOL or floor:
             if e1.imag > _IM_TOL:

@@ -58,7 +58,7 @@ def toy():
 
 def dense_eigenvalue(system, e_about, niter=3):
     """Independent oracle: the same discretization assembled as a dense
-    generalized eigenproblem A x = -E B x instead of propagated ratios.
+    generalized eigenproblem A x = -E B x instead of matched ratio matrices.
 
     Interior rows are the three-point recursion with the step factor of the
     row's own contour segment; the corner row is linearized in E about the
@@ -201,14 +201,19 @@ class TestFrozenResonance:
 
 
 class TestDenseOracle:
-    def test_matches_propagated_root(self, toy):
-        # same discretization, independent linear algebra; the agreement is
-        # limited only by the corner-row linearization in E
+    @pytest.mark.parametrize("n_blocks, intensity",
+                             [(2, 5e12), (2, 2e13), (4, 5e12), (4, 2e13)],
+                             ids=["2-5e12", "2-2e13", "4-5e12", "4-2e13"])
+    def test_matches_propagated_root(self, toy, n_blocks, intensity):
+        # same discretization, independent linear algebra; the re-assembled
+        # corner row converges the linearization in E, so the two roots agree
+        # to rounding on every block count
         model, tgrid, levels = toy
-        system = build_system(model, FieldPoint(600.0, 5e12), tgrid)
+        system = build_system(model, FieldPoint(600.0, intensity), tgrid,
+                              n_blocks=n_blocks)
         res = find_resonance(system, complex(levels[2].energy))
         ref = dense_eigenvalue(system, res.energy)
-        assert abs(ref - res.energy) < 5e-11
+        assert abs(ref - res.energy) < 1e-12
         assert res.energy.imag < -1e-5   # genuinely decaying at this field
 
     def test_determinant_vanishes_at_root(self, toy):
@@ -252,19 +257,6 @@ class TestMultiBlock:
 
 
 class TestBandedDeterminant:
-    def test_matches_ratio_sweep_on_two_blocks(self, h2plus, grid, free_levels):
-        # the banded solves evaluate the same det(R_m - G_{m+1}^-1) as the
-        # two-block ratio sweep; energies sit off the roots, where relative
-        # agreement is meaningful, and the field is weak because _det_two
-        # drops the asymmetry of its ratio past the corner, which shows from
-        # about 1e11 W/cm^2 on
-        system = build_system(h2plus, FieldPoint(634.55, 1e10), grid)
-        for v in (8, 12, 16):
-            for de in (2e-4 - 1e-4j, -3e-4 - 5e-5j, 5e-4):
-                e = complex(free_levels[v].energy) + de
-                ref = system._det_two(e)
-                assert abs(system._det_banded(e) - ref) <= 2e-10 * abs(ref)
-
     def test_frozen_four_block_root(self, h2plus, grid, free_levels):
         # reference value from the four-block ratio sweep this solver replaced
         _, res = ramp_resonance(h2plus, FieldPoint(788.2, 1e12),
@@ -308,10 +300,12 @@ class TestSecantFloor:
 
     def test_broad_root_at_the_floor(self, h2plus, grid):
         # a broad v = 9 resonance where |D| bottoms out near 1e-8; the
-        # reference root took 32 determinants to a step below 1e-12
+        # reference root took 32 determinants to a step below 1e-12.  The
+        # dense oracle lands 9e-11 from it once it reads the curves at the
+        # corner point through their analytic tail, as the solver does
         counted = CountingSystem(build_system(h2plus, FieldPoint(648.515625, 0.49e13), grid))
         res = find_resonance(counted, -0.029015 - 0.005705j)
-        assert abs(res.energy - (-0.029014580195 - 0.005705068501j)) < 1e-9
+        assert abs(res.energy - (-0.029008004976 - 0.005703735972j)) < 1e-9
         assert counted.calls <= 10
 
 
