@@ -20,7 +20,6 @@ class SolveCache:
 
     def __init__(self, path):
         self.path = str(path)
-        self.hits = 0
         self._dirty = False
         if os.path.exists(self.path):
             with open(self.path) as fh:
@@ -46,10 +45,7 @@ class SolveCache:
         return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
     def get(self, key: str):
-        rec = self._data.get(key)
-        if rec is not None:
-            self.hits += 1
-        return rec
+        return self._data.get(key)
 
     def put(self, key: str, record: dict):
         self._data[key] = record
@@ -71,9 +67,3 @@ class SolveCache:
             json.dump(self._data, fh, indent=1, sort_keys=True)
         os.replace(tmp, self.path)
         self._dirty = False
-
-    def __len__(self):
-        return len(self._data)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data

@@ -38,7 +38,10 @@ DIAGNOSTIC_INTENSITY = 1.0e3
 _GAP_TOL = 1e-8
 _NEWTON_ITERS = 25
 _E_STEP = 1e-5         # hartree, stencil of D' and D''
-_TRUST_JUMPS = 4.0     # pair-solve trust radius around the guess, in max_jump
+_MAX_JUMP = 5e-4       # hartree, largest move of either root in one walk step
+_TRUST_JUMPS = 4.0     # pair-solve trust radius around the guess, in _MAX_JUMP
+_MAX_SPLITS = 14       # step halvings allowed per requested walk intensity
+_FIT_POINTS = 6        # recent walk points in each root's linear prediction
 
 
 @dataclass(frozen=True)
@@ -220,124 +223,74 @@ def approximate_eps(model: MoleculeModel, v_range, vplus_range,
     return out
 
 
-class _PairPath:
-    """Continues two labelled resonances across the parameter plane.
+def _walk_pair(model, pair, lam, intensities, grid, n_blocks):
+    """Continue two labelled resonances up an intensity scan at fixed lam.
 
-    A walk proceeds in straight segments from the last accepted point,
-    splitting the segment whenever a solve fails, the two roots cannot be
-    assigned unambiguously, or a branch moves farther than max_jump in one
-    step.  A solve fails as soon as its secant strays 4 max_jump from the
-    prediction: predictions sit close to the last point, so a root that far
-    off would fail the jump test anyway.  Predictions come from a local
-    linear model of each branch over the recent history, which stays valid
-    when the walk zig-zags (the refinement stage probes a finite-difference
-    stencil).
+    Starts from the pair's field-free energies at I = 0 and yields the pair
+    at each of ``intensities`` in turn.  Each step goes straight from the
+    last accepted intensity and is halved whenever a solve fails, the two
+    roots cannot be assigned unambiguously, or a root moves farther than
+    _MAX_JUMP.  A solve fails as soon as its secant strays _TRUST_JUMPS
+    jumps from the prediction: predictions sit close to the last point, so
+    a root that far off would fail the jump test anyway.  Predictions are a
+    linear fit in I per root over the last _FIT_POINTS accepted points.
     """
-
-    _LAM_SCALE = 1.0       # nm per walk unit
-    _INT_SCALE = 0.001     # intensity units (1e13 W/cm^2) per walk unit
-
-    def __init__(self, model, v, v_partner, grid=None, *, n_blocks=2,
-                 max_jump=5e-4, history=6):
-        self.model = model
-        self.grid = grid if grid is not None else RadialGrid()
-        self.n_blocks = n_blocks
-        self.max_jump = max_jump
-        self._hist = history
-        levels = vibrational_levels(model.vg_curve, model.reduced_mass,
-                                    r_min=self.grid.r_min, r_max=self.grid.r_max,
-                                    n_points=self.grid.n_points)
-        if v_partner >= len(levels):
-            raise ModelError(f"pair ({v}, {v_partner}) exceeds the "
-                             f"{len(levels)} bound levels")
-        self.labels = (v, v_partner)
-        self._free = (complex(levels[v].energy), complex(levels[v_partner].energy))
-        self._points: list[tuple[float, float, tuple[complex, complex]]] = []
-
-    def _solve_pair(self, lam, inten, guesses):
-        system = build_system(self.model, FieldPoint(lam, inten * INTENSITY_UNIT),
-                              self.grid, n_blocks=self.n_blocks)
-        radius = _TRUST_JUMPS * self.max_jump
-        r1 = find_resonance(system, guesses[0], radius=radius)
-        r2 = find_resonance(system, guesses[1], deflate=(r1.energy,), radius=radius)
-        found = (r1.energy, r2.energy)
-        # assign found roots to predicted branches; swap when it is clearly
-        # better, reject when neither assignment separates the branches
-        d_keep = abs(found[0] - guesses[0]) + abs(found[1] - guesses[1])
-        d_swap = abs(found[0] - guesses[1]) + abs(found[1] - guesses[0])
-        if d_swap < d_keep:
-            found = (found[1], found[0])
-            d_keep, d_swap = d_swap, d_keep
-        if abs(found[0] - found[1]) < 1e-13:
-            raise ConvergenceError("resonances lost identity during continuation",
-                                   last_value=found[0])
-        return found
-
-    def _predict(self, lam, inten):
-        pts = self._points[-self._hist:]
-        if len(pts) < 3:
-            return pts[-1][2]
-        a = np.array([[1.0, (p[0] - lam) / self._LAM_SCALE,
-                       (p[1] - inten) / self._INT_SCALE] for p in pts])
-        out = []
-        for j in range(2):
-            b = np.array([p[2][j] for p in pts])
-            coef = np.linalg.lstsq(a, b, rcond=None)[0]
-            out.append(coef[0])
-        return tuple(out)
-
-    def seed(self, lam, inten=0.0):
-        self._points = [(lam, inten, self._free)]
-
-    def advance(self, lam, inten, *, max_splits=14):
-        """Walk from the current point to (lam, inten); returns the pair."""
-        if not self._points:
-            raise ConvergenceError("pair path has no starting point")
-        stack = [(lam, inten)]
+    v, w = pair
+    grid = grid if grid is not None else RadialGrid()
+    levels = vibrational_levels(model.vg_curve, model.reduced_mass,
+                                r_min=grid.r_min, r_max=grid.r_max,
+                                n_points=grid.n_points)
+    if w >= len(levels):
+        raise ModelError(f"pair ({v}, {w}) exceeds the "
+                         f"{len(levels)} bound levels")
+    walked_i = [0.0]
+    walked_e = [(complex(levels[v].energy), complex(levels[w].energy))]
+    radius = _TRUST_JUMPS * _MAX_JUMP
+    for target in intensities:
+        stack = [target]
         splits = 0
         while stack:
-            tl, ti = stack[-1]
-            cl, ci, ce = self._points[-1]
-            if abs(tl - cl) < 1e-12 and abs(ti - ci) < 1e-12:
+            inten = stack[-1]
+            if abs(inten - walked_i[-1]) < 1e-12:
                 stack.pop()
                 continue
-            guess = self._predict(tl, ti)
+            guess = walked_e[-1]
+            if len(walked_i) >= 3:
+                di = np.subtract(walked_i[-_FIT_POINTS:], inten)
+                a = np.column_stack([np.ones_like(di), di])
+                coef = np.linalg.lstsq(a, np.array(walked_e[-_FIT_POINTS:]),
+                                       rcond=None)[0]
+                guess = tuple(coef[0])
             try:
-                found = self._solve_pair(tl, ti, guess)
-                jump = max(abs(found[0] - ce[0]), abs(found[1] - ce[1]))
-                if jump > self.max_jump:
+                system = build_system(model, FieldPoint(lam, inten * INTENSITY_UNIT),
+                                      grid, n_blocks=n_blocks)
+                r1 = find_resonance(system, guess[0], radius=radius)
+                r2 = find_resonance(system, guess[1], deflate=(r1.energy,),
+                                    radius=radius)
+                found = (r1.energy, r2.energy)
+                # assign found roots to predicted branches by summed distance
+                if (abs(found[0] - guess[1]) + abs(found[1] - guess[0])
+                        < abs(found[0] - guess[0]) + abs(found[1] - guess[1])):
+                    found = (found[1], found[0])
+                if abs(found[0] - found[1]) < 1e-13:
+                    raise ConvergenceError("resonances lost identity during "
+                                           "continuation", last_value=found[0])
+                last = walked_e[-1]
+                if max(abs(found[0] - last[0]), abs(found[1] - last[1])) > _MAX_JUMP:
                     raise ConvergenceError("branch moved too far in one step",
                                            last_value=found[0])
             except ConvergenceError:
                 splits += 1
-                if splits > max_splits:
+                if splits > _MAX_SPLITS:
                     raise ConvergenceError(
                         "resonances lost identity during continuation; "
                         "restart with smaller steps", iterations=splits)
-                stack.append((0.5 * (cl + tl), 0.5 * (ci + ti)))
+                stack.append(0.5 * (walked_i[-1] + inten))
                 continue
-            self._points.append((tl, ti, found))
-            if len(self._points) > 400:
-                del self._points[:100]
+            walked_i.append(inten)
+            walked_e.append(found)
             stack.pop()
-        return self._points[-1][2]
-
-
-def _initial_intensity(path: _PairPath, lam, *, i_cap=0.6, n_scan=30):
-    """Scan intensity upward at fixed wavelength; return the sample with the
-    smallest gap and the walked pair there."""
-    path.seed(lam, 0.0)
-    best_i, best_pair, best_g = None, None, math.inf
-    step = i_cap / n_scan
-    for k in range(1, n_scan + 1):
-        i = k * step
-        pair = path.advance(lam, i)
-        g = abs(pair[0] - pair[1])
-        if g < best_g:
-            best_i, best_pair, best_g = i, pair, g
-        elif g > 3.0 * best_g and k >= 3:
-            break
-    return best_i, best_pair
+        yield walked_e[-1]
 
 
 def _taylor(det, e, h):
@@ -406,19 +359,27 @@ def refine_ep(model: MoleculeModel, candidate: EPCandidate,
     at the seed wavelength; the sample with the smallest gap seeds the
     double-root Newton of find_double_root on the matching determinant.
     """
-    path = _PairPath(model, candidate.v, candidate.v_partner, grid,
-                     n_blocks=n_blocks)
-    i0, pair = _initial_intensity(path, candidate.lambda_guess, i_cap=i_cap)
+    lam0 = candidate.lambda_guess
+    intensities = i_cap / 30 * np.arange(1, 31)
+    walk = _walk_pair(model, (candidate.v, candidate.v_partner), lam0,
+                      intensities, grid, n_blocks)
+    i0, pair, best_g = None, None, math.inf
+    for k, (i, walked) in enumerate(zip(intensities, walk), start=1):
+        g = abs(walked[0] - walked[1])
+        if g < best_g:
+            i0, pair, best_g = i, walked, g
+        elif g > 3.0 * best_g and k >= 3:
+            break
     if pair is None:
         raise ConvergenceError("no gap minimum along the intensity scan")
     e1, e2 = pair
 
     def det_at(lam, inten):
         return build_system(model, FieldPoint(lam, inten * INTENSITY_UNIT),
-                            path.grid, n_blocks=n_blocks).determinant
+                            grid, n_blocks=n_blocks).determinant
 
     lam, inten, e_ep, gap = find_double_root(
-        det_at, 0.5 * (e1 + e2), candidate.lambda_guess, i0, 0.5 * abs(e1 - e2))
+        det_at, 0.5 * (e1 + e2), lam0, i0, 0.5 * abs(e1 - e2))
     return EPRecord(pair=(candidate.v, candidate.v_partner),
                     lambda_ep=lam, intensity_ep=inten, gap_residual=gap,
                     e_ep=e_ep, v_plus=candidate.v_plus)
@@ -448,22 +409,15 @@ def verify_signature(model: MoleculeModel, ep: EPRecord, d_lambda: float = 0.05,
                   for n in neighbors)
 
     def scan(lam):
-        path = _PairPath(model, ep.pair[0], ep.pair[1], grid, n_blocks=n_blocks)
-        path.seed(lam, 0.0)
-        re_gap, w_gap = [], []
-        pair = None
-        for i in np.linspace(i_lo, i_hi, n_scan):
-            e1, e2 = path.advance(lam, i)
-            re_gap.append(e1.real - e2.real)
-            w_gap.append(e1.imag - e2.imag)
-            pair = (e1, e2)
-        stepped = path.advance(lam, 1.02 * i_hi)
-        chars = tuple(step_character(e, p) for e, p in zip(pair, stepped))
-        re_x = int(np.sum(np.diff(np.sign(re_gap)) != 0))
-        w_x = int(np.sum(np.diff(np.sign(w_gap)) != 0))
+        intensities = [*np.linspace(i_lo, i_hi, n_scan), 1.02 * i_hi]
+        pairs = list(_walk_pair(model, ep.pair, lam, intensities, grid, n_blocks))
+        gap = np.array([e1 - e2 for e1, e2 in pairs[:-1]])
+        chars = tuple(step_character(e, p) for e, p in zip(pairs[-2], pairs[-1]))
+        re_x = int(np.sum(np.diff(np.sign(gap.real)) != 0))
+        w_x = int(np.sum(np.diff(np.sign(gap.imag)) != 0))
         return SideScan(wavelength=lam, re_crossings=re_x, width_crossings=w_x,
-                        min_width_split=float(np.min(np.abs(w_gap))),
-                        characters=tuple(chars))
+                        min_width_split=float(np.min(np.abs(gap.imag))),
+                        characters=chars)
 
     collided = False
     sides = []

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bound_states import vibrational_levels
 from .errors import ContinuationError, ConvergenceError, ModelError
-from .floquet import build_system, classify_resonance, find_resonance
+from .floquet import Resonance, build_system, classify_resonance, find_resonance
 from .molecule import FieldPoint, RadialGrid
 from .units import FS_PER_AU_TIME, INTENSITY_UNIT, width_to_invcm
 
@@ -234,11 +234,8 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
             system = build_system(
                 model, FieldPoint(s.wavelength, s.intensity * INTENSITY_UNIT),
                 grid, n_blocks=n_blocks)
-            try:
-                res = find_resonance(system, s.energy)
-                traj.characters.append((s.phi, classify_resonance(system, res)))
-            except ConvergenceError:
-                traj.characters.append((s.phi, "Unclassified"))
+            res = Resonance(energy=s.energy, width=s.width)
+            traj.characters.append((s.phi, classify_resonance(system, res)))
     survival(traj)
     return traj
 
@@ -284,7 +281,6 @@ def run_scenario(model, loops, grid=None, *, n_blocks=2) -> ScenarioReport:
             raise ModelError(f"scenario chain broken: loop expects v={a} "
                              f"but previous ends at v={b}")
     trajectories, transfers, survivals = [], [], []
-    v = loops[0][1][0]
     for spec, (v_from, v_to) in loops:
         traj = follow_resonance(model, spec, v_from, grid, n_blocks=n_blocks)
         trajectories.append(traj)
@@ -294,7 +290,6 @@ def run_scenario(model, loops, grid=None, *, n_blocks=2) -> ScenarioReport:
             raise ConvergenceError(
                 f"loop {len(transfers)} transferred v={v_from} -> "
                 f"{traj.v_end}, expected {v_to}")
-        v = traj.v_end
     return ScenarioReport(trajectories=trajectories, transfers=transfers,
                           survivals=survivals,
                           cumulative=float(np.prod(survivals)))

@@ -137,6 +137,30 @@ class TestWorkBudget:
         assert calls[0] <= 1200
 
 
+class TestPairWalk:
+    """The seed walk halves a step that moves a root too far and gives up
+    once a requested intensity has used its split budget."""
+
+    LAM = 635.9598      # the (12,13) seed of the 596-655 nm window
+
+    def walk_to(self, h2plus, intensities):
+        *_, last = ep._walk_pair(h2plus, (12, 13), self.LAM, intensities,
+                                 None, 2)
+        return last
+
+    def test_one_step_splits_onto_the_stepped_walk(self, h2plus, monkeypatch):
+        stepped = self.walk_to(h2plus, [0.02 * k for k in range(1, 11)])
+        systems = count_calls(monkeypatch, ep, "build_system")
+        direct = self.walk_to(h2plus, [0.2])
+        assert systems[0] > 1
+        assert max(abs(a - b) for a, b in zip(direct, stepped)) < 1e-10
+
+    def test_split_budget_exhausted_raises(self, h2plus, monkeypatch):
+        monkeypatch.setattr(ep, "_MAX_SPLITS", 1)
+        with pytest.raises(ConvergenceError, match="restart with smaller steps"):
+            self.walk_to(h2plus, [0.2])
+
+
 class TestCoalescenceSearch:
     def test_toy_ep_to_machine_precision(self):
         lam, inten, e, gap = find_double_root(toy_det, *seed(601.5, 0.26))
