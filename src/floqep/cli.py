@@ -246,14 +246,15 @@ def cmd_resonance(args, model, grid, cache):
         if not 0 <= args.v < len(levels):
             raise ModelError(f"v={args.v} outside the {len(levels)} "
                              "bound levels")
-        system, res = ramp_resonance(
-            model, FieldPoint(args.wavelength, args.intensity),
-            levels[args.v].energy, args.steps, grid, n_blocks=args.n_blocks)
+        field = FieldPoint(args.wavelength, args.intensity)
+        res = ramp_resonance(model, field, levels[args.v].energy, args.steps,
+                             grid, n_blocks=args.n_blocks)
         rec = {"energy_re_hartree": res.energy.real,
                "energy_im_hartree": res.energy.imag,
                "width_hartree": res.width,
                "width_invcm": res.width_invcm,
-               "character": classify_resonance(system, res),
+               "character": classify_resonance(model, field, res.energy, grid,
+                                               args.n_blocks),
                "residual": abs(res.residual)}
         if cache is not None:
             cache.put(key, rec)

@@ -27,7 +27,7 @@ from scipy.interpolate import CubicSpline
 
 from .bound_states import adiabatic_levels, vibrational_levels
 from .errors import ConvergenceError, ModelError
-from .floquet import build_system, find_resonance, step_character
+from .floquet import build_system, continuation, find_resonance, step_character
 from .molecule import FieldPoint, MoleculeModel, RadialGrid
 from .units import INTENSITY_UNIT
 
@@ -40,7 +40,6 @@ _NEWTON_ITERS = 25
 _E_STEP = 1e-5         # hartree, stencil of D' and D''
 _MAX_JUMP = 5e-4       # hartree, largest move of either root in one walk step
 _TRUST_JUMPS = 4.0     # pair-solve trust radius around the guess, in _MAX_JUMP
-_MAX_SPLITS = 14       # step halvings allowed per requested walk intensity
 _FIT_POINTS = 6        # recent walk points in each root's linear prediction
 
 
@@ -227,9 +226,9 @@ def _walk_pair(model, pair, lam, intensities, grid, n_blocks):
     """Continue two labelled resonances up an intensity scan at fixed lam.
 
     Starts from the pair's field-free energies at I = 0 and yields the pair
-    at each of ``intensities`` in turn.  Each step goes straight from the
-    last accepted intensity and is halved whenever a solve fails, the two
-    roots cannot be assigned unambiguously, or a root moves farther than
+    at each of ``intensities`` in turn, on the step-halving driver
+    ``continuation``.  A step fails when a solve fails, the two roots
+    cannot be assigned unambiguously, or a root moves farther than
     _MAX_JUMP.  A solve fails as soon as its secant strays _TRUST_JUMPS
     jumps from the prediction: predictions sit close to the last point, so
     a root that far off would fail the jump test anyway.  Predictions are a
@@ -243,54 +242,37 @@ def _walk_pair(model, pair, lam, intensities, grid, n_blocks):
     if w >= len(levels):
         raise ModelError(f"pair ({v}, {w}) exceeds the "
                          f"{len(levels)} bound levels")
-    walked_i = [0.0]
-    walked_e = [(complex(levels[v].energy), complex(levels[w].energy))]
     radius = _TRUST_JUMPS * _MAX_JUMP
-    for target in intensities:
-        stack = [target]
-        splits = 0
-        while stack:
-            inten = stack[-1]
-            if abs(inten - walked_i[-1]) < 1e-12:
-                stack.pop()
-                continue
-            guess = walked_e[-1]
-            if len(walked_i) >= 3:
-                di = np.subtract(walked_i[-_FIT_POINTS:], inten)
-                a = np.column_stack([np.ones_like(di), di])
-                coef = np.linalg.lstsq(a, np.array(walked_e[-_FIT_POINTS:]),
-                                       rcond=None)[0]
-                guess = tuple(coef[0])
-            try:
-                system = build_system(model, FieldPoint(lam, inten * INTENSITY_UNIT),
-                                      grid, n_blocks=n_blocks)
-                r1 = find_resonance(system, guess[0], radius=radius)
-                r2 = find_resonance(system, guess[1], deflate=(r1.energy,),
-                                    radius=radius)
-                found = (r1.energy, r2.energy)
-                # assign found roots to predicted branches by summed distance
-                if (abs(found[0] - guess[1]) + abs(found[1] - guess[0])
-                        < abs(found[0] - guess[0]) + abs(found[1] - guess[1])):
-                    found = (found[1], found[0])
-                if abs(found[0] - found[1]) < 1e-13:
-                    raise ConvergenceError("resonances lost identity during "
-                                           "continuation", last_value=found[0])
-                last = walked_e[-1]
-                if max(abs(found[0] - last[0]), abs(found[1] - last[1])) > _MAX_JUMP:
-                    raise ConvergenceError("branch moved too far in one step",
-                                           last_value=found[0])
-            except ConvergenceError:
-                splits += 1
-                if splits > _MAX_SPLITS:
-                    raise ConvergenceError(
-                        "resonances lost identity during continuation; "
-                        "restart with smaller steps", iterations=splits)
-                stack.append(0.5 * (walked_i[-1] + inten))
-                continue
-            walked_i.append(inten)
-            walked_e.append(found)
-            stack.pop()
-        yield walked_e[-1]
+
+    def step(points, inten):
+        guess = points[-1][1]
+        if len(points) >= 3:
+            recent = points[-_FIT_POINTS:]
+            di = np.subtract([i for i, _ in recent], inten)
+            a = np.column_stack([np.ones_like(di), di])
+            coef = np.linalg.lstsq(a, np.array([e for _, e in recent]),
+                                   rcond=None)[0]
+            guess = tuple(coef[0])
+        system = build_system(model, FieldPoint(lam, inten * INTENSITY_UNIT),
+                              grid, n_blocks=n_blocks)
+        r1 = find_resonance(system, guess[0], radius=radius)
+        r2 = find_resonance(system, guess[1], deflate=(r1.energy,), radius=radius)
+        found = (r1.energy, r2.energy)
+        # assign found roots to predicted branches by summed distance
+        if (abs(found[0] - guess[1]) + abs(found[1] - guess[0])
+                < abs(found[0] - guess[0]) + abs(found[1] - guess[1])):
+            found = (found[1], found[0])
+        if abs(found[0] - found[1]) < 1e-13:
+            raise ConvergenceError("resonances lost identity during "
+                                   "continuation", last_value=found[0])
+        last = points[-1][1]
+        if max(abs(found[0] - last[0]), abs(found[1] - last[1])) > _MAX_JUMP:
+            raise ConvergenceError("branch moved too far in one step",
+                                   last_value=found[0])
+        return found
+
+    start = (complex(levels[v].energy), complex(levels[w].energy))
+    yield from continuation([(0.0, start)], intensities, step)
 
 
 def _taylor(det, e, h):
@@ -385,18 +367,17 @@ def refine_ep(model: MoleculeModel, candidate: EPCandidate,
                     e_ep=e_ep, v_plus=candidate.v_plus)
 
 
-def verify_signature(model: MoleculeModel, ep: EPRecord, d_lambda: float = 0.05,
-                     *, grid=None, n_blocks=2, n_scan=25,
-                     neighbors=()) -> SignatureReport:
+def verify_signature(model: MoleculeModel, ep: EPRecord, *, grid=None,
+                     n_blocks=2, neighbors=()) -> SignatureReport:
     """Check the crossing/tweezer signature on either side of an EP.
 
-    Scans intensity through the EP at lambda_ep -/+ d_lambda.  A valid EP
+    Scans intensity through the EP at lambda_ep -/+ 0.05 nm.  A valid EP
     shows the real parts crossing on exactly one side with the widths
     avoiding (tweezer), and the mirrored pattern on the other side.  The
     characters come from stepping the tracked pair a little past the scan
     top, which keeps branch identity where independent probes would hop.
     The report is flagged contaminated when the scan cannot isolate this
-    EP: a record in neighbors shares a branch and sits within d_lambda, a
+    EP: a record in neighbors shares a branch and sits within 0.05 nm, a
     side shows more than one crossing, or the pair tracking itself
     collides.
     """
@@ -404,12 +385,12 @@ def verify_signature(model: MoleculeModel, ep: EPRecord, d_lambda: float = 0.05,
     i_hi = 1.7 * ep.intensity_ep
     crowded = any(n is not ep
                   and set(n.pair) & set(ep.pair)
-                  and abs(n.lambda_ep - ep.lambda_ep) <= d_lambda
+                  and abs(n.lambda_ep - ep.lambda_ep) <= 0.05
                   and n.intensity_ep <= i_hi
                   for n in neighbors)
 
     def scan(lam):
-        intensities = [*np.linspace(i_lo, i_hi, n_scan), 1.02 * i_hi]
+        intensities = [*np.linspace(i_lo, i_hi, 25), 1.02 * i_hi]
         pairs = list(_walk_pair(model, ep.pair, lam, intensities, grid, n_blocks))
         gap = np.array([e1 - e2 for e1, e2 in pairs[:-1]])
         chars = tuple(step_character(e, p) for e, p in zip(pairs[-2], pairs[-1]))
@@ -421,7 +402,7 @@ def verify_signature(model: MoleculeModel, ep: EPRecord, d_lambda: float = 0.05,
 
     collided = False
     sides = []
-    for lam in (ep.lambda_ep - d_lambda, ep.lambda_ep + d_lambda):
+    for lam in (ep.lambda_ep - 0.05, ep.lambda_ep + 0.05):
         try:
             sides.append(scan(lam))
         except ConvergenceError:

@@ -35,6 +35,7 @@ __all__ = [
     "Resonance",
     "build_system",
     "classify_resonance",
+    "continuation",
     "find_resonance",
     "ramp_resonance",
     "step_character",
@@ -45,6 +46,7 @@ _FLOOR_STEP = 1e-8     # |dE| below this is the local, superlinear regime
 _MAX_SECANT = 50
 _IM_TOL = 1e-12        # tolerated positive imaginary part before rejection
 _MAX_STEP = 2e-3       # cap on a single secant step, hartree
+_MAX_SPLITS = 14       # step halvings allowed on the way to one continuation target
 
 
 @dataclass(frozen=True)
@@ -52,14 +54,13 @@ class Resonance:
     """One complex quasienergy E = E_R - i Gamma/2.
 
     ``label`` is the field-free vibrational number attached by continuation
-    (or zero-field matching); ``character`` is "Feshbach", "Shape" or
-    "Unclassified"; ``residual`` is |matching determinant| at convergence.
+    (or zero-field matching); ``residual`` is |matching determinant| at
+    convergence.
     """
 
     energy: complex
     width: float
     label: int | None = None
-    character: str | None = None
     residual: float = 0.0
 
     def __post_init__(self):
@@ -93,7 +94,6 @@ class CoupledSystem:
         self.field = field
         self.grid = grid
         self.blocks = _block_list(n_blocks)
-        self.coupling = lambda r: -0.5 * field.e0 * model.dipole(r)
 
         vg, vu = model.vg_curve, model.vu_curve
         corner_r = grid.points()[grid.corner_index]
@@ -360,12 +360,12 @@ def find_resonance(system: CoupledSystem, e_guess: complex, label: int | None = 
 
 def ramp_resonance(model: MoleculeModel, field: FieldPoint, e_start: complex,
                    steps: int, grid: RadialGrid | None = None,
-                   n_blocks: int = 2) -> tuple[CoupledSystem, Resonance]:
+                   n_blocks: int = 2) -> Resonance:
     """Continue a resonance from e_start up to the intensity of ``field``.
 
     The intensity rises in ``steps`` equal steps, I/steps .. I, at the
     wavelength of ``field``; each solve is seeded by the previous root.
-    Returns the system at ``field`` and the resonance found there.
+    Returns the resonance found at ``field``.
     """
     e = complex(e_start)
     for inten in np.linspace(field.intensity / steps, field.intensity, steps):
@@ -373,7 +373,38 @@ def ramp_resonance(model: MoleculeModel, field: FieldPoint, e_start: complex,
                               n_blocks=n_blocks)
         res = find_resonance(system, e)
         e = res.energy
-    return system, res
+    return res
+
+
+def continuation(points: list, targets, step):
+    """Continue roots along one parameter t, halving steps that fail.
+
+    ``points`` holds the accepted (t, roots), the start first, and grows by
+    each accepted step.  For every target in turn, ``step(points, t)``
+    returns the roots at t or raises ConvergenceError; a failed t is
+    replaced by the midpoint back to the last accepted t.  A target within
+    1e-12 of the last accepted t counts as reached.  Yields the roots at
+    each reached target; more than _MAX_SPLITS failures on the way to one
+    target raise ConvergenceError.
+    """
+    for target in targets:
+        pending = [target] if abs(target - points[-1][0]) >= 1e-12 else []
+        splits = 0
+        while pending:
+            t = pending[-1]
+            try:
+                roots = step(points, t)
+            except ConvergenceError as ex:
+                splits += 1
+                if splits > _MAX_SPLITS:
+                    raise ConvergenceError(
+                        f"continuation stalled at t = {t:.6g} ({ex}); "
+                        "restart with smaller steps", iterations=splits) from ex
+                pending.append(0.5 * (points[-1][0] + t))
+                continue
+            points.append((t, roots))
+            pending.pop()
+        yield points[-1][1]
 
 
 def step_character(e: complex, stepped: complex) -> str:
@@ -392,19 +423,18 @@ def step_character(e: complex, stepped: complex) -> str:
     return "Unclassified"
 
 
-def classify_resonance(system: CoupledSystem, res: Resonance,
-                       d_intensity: float | None = None) -> str:
-    """Feshbach/Shape character (see step_character) of ``res`` under an
-    intensity step; Unclassified when the probe step cannot be tracked.
+def classify_resonance(model: MoleculeModel, field: FieldPoint, energy: complex,
+                       grid: RadialGrid | None = None, n_blocks: int = 2) -> str:
+    """Feshbach/Shape character (see step_character) of the resonance at
+    ``energy`` under an intensity step of max(2 %, 1e9 W/cm^2); Unclassified
+    when the probe step cannot be tracked.
     """
-    field = system.field
-    if d_intensity is None:
-        d_intensity = max(0.02 * field.intensity, 1e9)
-    stepped = CoupledSystem(system.model,
-                            FieldPoint(field.wavelength, field.intensity + d_intensity),
-                            system.grid, len(system.blocks), system.matching_index)
+    stepped = CoupledSystem(
+        model, FieldPoint(field.wavelength,
+                          field.intensity + max(0.02 * field.intensity, 1e9)),
+        grid if grid is not None else RadialGrid(), n_blocks)
     try:
-        res2 = find_resonance(stepped, res.energy, label=res.label)
+        res2 = find_resonance(stepped, energy)
     except ConvergenceError:
         return "Unclassified"
-    return step_character(res.energy, res2.energy)
+    return step_character(energy, res2.energy)

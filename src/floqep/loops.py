@@ -28,13 +28,17 @@ import numpy as np
 
 from .bound_states import vibrational_levels
 from .errors import ContinuationError, ConvergenceError, ModelError
-from .floquet import Resonance, build_system, classify_resonance, find_resonance
+from .floquet import build_system, classify_resonance, continuation, find_resonance
 from .molecule import FieldPoint, RadialGrid
 from .units import FS_PER_AU_TIME, INTENSITY_UNIT, width_to_invcm
 
 # a pulse shorter than this traverses the loop too fast for the adiabatic
 # transport picture; emit a warning but run anyway
 ADIABATIC_TF_FS = 30.0
+
+# a loop step fails on a miss above max(_ACCEPT_FACTOR * last miss, _ACCEPT_FLOOR)
+_ACCEPT_FACTOR = 5.0
+_ACCEPT_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -139,19 +143,17 @@ def _extrapolate(points, phi):
 
 
 def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
-                     n_blocks=2, reverse=False, accept_floor=1e-4,
-                     accept_factor=5.0, max_splits=800,
-                     classify=True) -> Trajectory:
+                     n_blocks=2, reverse=False) -> Trajectory:
     """Transport the resonance that starts as level v_start around the loop.
 
     Each angle step is seeded by quadratic extrapolation of the previous
-    three accepted points; a step is rejected and split in half whenever
-    the solve misses the extrapolation by more than accept_factor times
-    the previous step's miss (with an absolute floor), which is what
-    catches a jump onto the wrong branch.  Exhausting the split budget
-    aborts with the partial trajectory attached.  The final field-free
-    energy must match a field-free level to 1e-6 hartree; its index
-    becomes v_end.
+    three accepted points and runs on the step-halving driver
+    ``continuation``; a step fails whenever the solve misses the
+    extrapolation by more than _ACCEPT_FACTOR times the previous step's
+    miss (with the absolute floor _ACCEPT_FLOOR), which is what catches a
+    jump onto the wrong branch.  When the driver gives up, the run aborts
+    with the partial trajectory attached.  The final field-free energy must
+    match a field-free level to 1e-6 hartree; its index becomes v_end.
     """
     grid = grid if grid is not None else RadialGrid()
     levels = vibrational_levels(model.vg_curve, model.reduced_mass,
@@ -179,44 +181,32 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
                                 energy=energy,
                                 width_invcm=width_to_invcm(-2.0 * energy.imag))
 
-    e0 = complex(levels[v_start].energy)
-    accepted = [(float(phis[0]), e0)]
-    samples = [mk_sample(phis[0], e0)]
-    prev_miss = accept_floor
-    min_step = progress_span / (spec.n_steps * 4096.0)
-    splits = 0
-    stack = list(phis[1:])[::-1]
+    prev_miss = _ACCEPT_FLOOR
 
-    def partial():
-        return Trajectory(spec=spec, v_start=v_start, v_end=None,
-                          samples=samples)
-
-    while stack:
-        phi_t = stack[-1]
-        guess = _extrapolate(accepted, phi_t)
-        try:
-            system = build_system(model, loop_point(spec, phi_t), grid,
-                                  n_blocks=n_blocks)
-            res = find_resonance(system, guess)
-            miss = abs(res.energy - guess)
-            if miss > max(accept_factor * prev_miss, accept_floor):
-                raise ConvergenceError("continuity threshold tripped",
-                                       last_value=res.energy)
-        except ConvergenceError as ex:
-            splits += 1
-            mid = 0.5 * (accepted[-1][0] + phi_t)
-            if splits > max_splits or abs(phi_t - accepted[-1][0]) < min_step:
-                raise ContinuationError(
-                    f"loop continuation broke down at phi={phi_t:.4f}: {ex}",
-                    partial=partial()) from ex
-            stack.append(mid)
-            continue
-        accepted.append((float(phi_t), res.energy))
-        samples.append(mk_sample(phi_t, res.energy))
+    def step(points, phi):
+        nonlocal prev_miss
+        guess = _extrapolate(points, phi)
+        system = build_system(model, loop_point(spec, phi), grid,
+                              n_blocks=n_blocks)
+        energy = find_resonance(system, guess).energy
+        miss = abs(energy - guess)
+        if miss > max(_ACCEPT_FACTOR * prev_miss, _ACCEPT_FLOOR):
+            raise ConvergenceError("continuity threshold tripped",
+                                   last_value=energy)
         prev_miss = max(miss, 1e-9)
-        stack.pop()
+        return energy
 
-    e_end = accepted[-1][1]
+    points = [(float(phis[0]), complex(levels[v_start].energy))]
+    try:
+        for _ in continuation(points, phis[1:], step):
+            pass
+    except ConvergenceError as ex:
+        raise ContinuationError(
+            f"loop continuation broke down: {ex}",
+            partial=Trajectory(spec=spec, v_start=v_start, v_end=None,
+                               samples=[mk_sample(*p) for p in points])) from ex
+
+    e_end = points[-1][1]
     v_end = None
     for lv in levels:
         if abs(e_end.real - lv.energy) < 1e-6:
@@ -226,16 +216,13 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
         raise ConvergenceError(
             f"final energy {e_end.real:.8f} matches no field-free level")
 
+    samples = [mk_sample(*p) for p in points]
     traj = Trajectory(spec=spec, v_start=v_start, v_end=v_end, samples=samples)
-    if classify:
-        for q in (0.5 * math.pi, math.pi, 1.5 * math.pi):
-            k = int(np.argmin([abs(s.phi - q) for s in samples]))
-            s = samples[k]
-            system = build_system(
-                model, FieldPoint(s.wavelength, s.intensity * INTENSITY_UNIT),
-                grid, n_blocks=n_blocks)
-            res = Resonance(energy=s.energy, width=s.width)
-            traj.characters.append((s.phi, classify_resonance(system, res)))
+    for q in (0.5 * math.pi, math.pi, 1.5 * math.pi):
+        s = min(samples, key=lambda s: abs(s.phi - q))
+        field_point = FieldPoint(s.wavelength, s.intensity * INTENSITY_UNIT)
+        traj.characters.append(
+            (s.phi, classify_resonance(model, field_point, s.energy, grid, n_blocks)))
     survival(traj)
     return traj
 

@@ -51,13 +51,11 @@ class AnalyticCurve:
     asymptote : large-R limit (None for unbounded functions such as dipoles).
     """
 
-    def __init__(self, fn: Callable, d1: Callable, d2: Callable, asymptote: float | None = 0.0,
-                 tag: str = "analytic"):
+    def __init__(self, fn: Callable, d1: Callable, d2: Callable, asymptote: float | None = 0.0):
         self._fn = fn
         self._d1 = d1
         self._d2 = d2
         self.asymptote = asymptote
-        self.tag = tag
         self.r_lo = 0.0
         self.r_hi = math.inf
         # analytic forms continue everywhere
@@ -94,7 +92,7 @@ def morse_curve(depth: float, width: float, r0: float) -> AnalyticCurve:
         e = np.exp(-width * (r - r0))
         return 2.0 * depth * width * width * (2.0 * e * e - e)
 
-    return AnalyticCurve(fn, d1, d2, asymptote=0.0, tag=f"morse({depth},{width},{r0})")
+    return AnalyticCurve(fn, d1, d2, asymptote=0.0)
 
 
 def exp_repulsive(amplitude: float, decay: float) -> AnalyticCurve:
@@ -104,7 +102,7 @@ def exp_repulsive(amplitude: float, decay: float) -> AnalyticCurve:
     fn = lambda r: amplitude * np.exp(-decay * r)
     d1 = lambda r: -decay * amplitude * np.exp(-decay * r)
     d2 = lambda r: decay * decay * amplitude * np.exp(-decay * r)
-    return AnalyticCurve(fn, d1, d2, asymptote=0.0, tag=f"exp({amplitude},{decay})")
+    return AnalyticCurve(fn, d1, d2, asymptote=0.0)
 
 
 def linear_dipole(slope: float) -> AnalyticCurve:
@@ -116,7 +114,6 @@ def linear_dipole(slope: float) -> AnalyticCurve:
         lambda r: slope * np.ones_like(np.asarray(r, dtype=complex)) if np.ndim(r) else slope,
         lambda r: np.zeros_like(np.asarray(r, dtype=complex)) if np.ndim(r) else 0.0,
         asymptote=None,
-        tag=f"linear({slope})",
     )
 
 

@@ -13,7 +13,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import floqep
+from floqep import loops
 from floqep.cli import main
+from floqep.errors import ConvergenceError
 from floqep.ep import records_from_csv
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -212,6 +214,28 @@ class TestLoopCommand:
                    if el.get("text-anchor") == "end" and el.text != "contour"]
         assert max(y_ticks) == pytest.approx(0.02)
         assert "v = 2 -> 2" in capsys.readouterr().out
+
+    def test_broken_loop_writes_partial_outputs(self, tmp_path, monkeypatch,
+                                                capsys):
+        inner = loops.find_resonance
+        calls = [0]
+
+        def fail_after_20(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] > 20:
+                raise ConvergenceError("injected solve failure")
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(loops, "find_resonance", fail_after_20)
+        assert main(["loop", "--out", str(tmp_path),
+                     "--lambda0", "500", "--d-lambda", "2",
+                     "--i-max", "0.02", "--t-f", "30", "--n-steps", "100",
+                     "--v-start", "2"]) == 3
+        doc = json.loads((tmp_path / "loop.json").read_text())
+        assert doc["results"]["partial"] is True
+        assert doc["results"]["n_samples"] == 21
+        assert len(read_csv(tmp_path / "loop.csv")) == 21
+        assert "writing partial outputs" in capsys.readouterr().err
 
     def test_missing_required_flags(self, tmp_path, capsys):
         assert main(["loop", "--out", str(tmp_path)]) == 2

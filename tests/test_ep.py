@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from floqep import ep
+from floqep import ep, floquet
 from floqep.ep import (
     EPCandidate,
     _quadratic_gap,
@@ -156,7 +156,7 @@ class TestPairWalk:
         assert max(abs(a - b) for a, b in zip(direct, stepped)) < 1e-10
 
     def test_split_budget_exhausted_raises(self, h2plus, monkeypatch):
-        monkeypatch.setattr(ep, "_MAX_SPLITS", 1)
+        monkeypatch.setattr(floquet, "_MAX_SPLITS", 1)
         with pytest.raises(ConvergenceError, match="restart with smaller steps"):
             self.walk_to(h2plus, [0.2])
 

@@ -12,6 +12,7 @@ from floqep.floquet import (
     Resonance,
     build_system,
     classify_resonance,
+    continuation,
     find_resonance,
     ramp_resonance,
 )
@@ -169,7 +170,7 @@ class TestZeroFieldLimit:
 @pytest.fixture(scope="module")
 def res788(h2plus, grid, free_levels):
     field = FieldPoint(TestFrozenResonance.WAVELENGTH, TestFrozenResonance.INTENSITY)
-    return ramp_resonance(h2plus, field, free_levels[12].energy, 6, grid)[1]
+    return ramp_resonance(h2plus, field, free_levels[12].energy, 6, grid)
 
 
 class TestFrozenResonance:
@@ -266,8 +267,8 @@ class TestMultiBlock:
 class TestBandedDeterminant:
     def test_frozen_four_block_root(self, h2plus, grid, free_levels):
         # reference value from the four-block ratio sweep this solver replaced
-        _, res = ramp_resonance(h2plus, FieldPoint(788.2, 1e12),
-                                free_levels[12].energy, 8, grid, n_blocks=4)
+        res = ramp_resonance(h2plus, FieldPoint(788.2, 1e12),
+                             free_levels[12].energy, 8, grid, n_blocks=4)
         assert abs(res.energy - (-0.012309094124283 - 9.600296206e-6j)) < 1e-10
 
 
@@ -322,10 +323,63 @@ class TestClassification:
         # turning points: the lower level behaves shape-like, the upper one
         # feshbach-like
         expected = {12: "Shape", 13: "Feshbach"}
+        field = FieldPoint(700.0, 1e12)
         for v, want in expected.items():
-            system, res = ramp_resonance(h2plus, FieldPoint(700.0, 1e12),
-                                         free_levels[v].energy, 8, grid)
-            assert classify_resonance(system, res) == want
+            res = ramp_resonance(h2plus, field, free_levels[v].energy, 8, grid)
+            assert classify_resonance(h2plus, field, res.energy, grid) == want
+
+
+class ToyStep:
+    """A continuation step with no physics: the root at t is t**2, and the
+    calls numbered in ``fails`` raise instead."""
+
+    def __init__(self, fails=()):
+        self.fails = set(fails)
+        self.calls = []
+
+    def __call__(self, points, t):
+        self.calls.append(t)
+        if len(self.calls) in self.fails:
+            raise ConvergenceError("toy step failed")
+        return t * t
+
+
+class TestContinuation:
+    def test_failed_step_is_retried_at_the_midpoint(self):
+        step = ToyStep(fails={1})
+        points = [(0.0, 0.0)]
+        assert list(continuation(points, [1.0], step)) == [1.0]
+        assert step.calls == [1.0, 0.5, 1.0]
+        assert points == [(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)]
+
+    def test_fifteenth_failure_on_one_target_raises(self):
+        # 14 failures on the way to each target are allowed
+        step = ToyStep(fails=range(1, 15))
+        assert list(continuation([(0.0, 0.0)], [1.0], step)) == [1.0]
+        step = ToyStep(fails=range(1, 16))
+        with pytest.raises(ConvergenceError, match="restart with smaller steps"):
+            list(continuation([(0.0, 0.0)], [1.0], step))
+        assert len(step.calls) == 15
+        assert step.calls[-1] == 2.0 ** -14
+
+    def test_split_budget_is_per_target(self):
+        # 14 failures, then 15 accepted steps up to 1.0; then 14 more failures
+        step = ToyStep(fails=[*range(1, 15), *range(30, 44)])
+        assert list(continuation([(0.0, 0.0)], [1.0, 2.0], step)) == [1.0, 4.0]
+
+    def test_target_at_the_last_t_is_skipped_but_yielded(self):
+        step = ToyStep()
+        points = [(0.0, 0.0)]
+        got = list(continuation(points, [0.0, 1.0, 1.0 + 1e-13], step))
+        assert got == [0.0, 1.0, 1.0]
+        assert step.calls == [1.0]
+        assert len(points) == 2
+
+    def test_early_break_runs_no_further_step(self):
+        step = ToyStep()
+        for _ in continuation([(0.0, 0.0)], [1.0, 2.0, 3.0], step):
+            break
+        assert step.calls == [1.0]
 
 
 class TestGuards:

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from floqep.errors import ConvergenceError, ModelError
+from floqep import loops
+from floqep.errors import ContinuationError, ConvergenceError, ModelError
 from floqep.loops import (
     LoopSpec,
     Trajectory,
@@ -172,11 +173,51 @@ class TestFollowWeakLoop:
         quick = LoopSpec(lambda0=500.0, d_lambda=2.0, i_max=0.02, t_f=10.0,
                          n_steps=100)
         with pytest.warns(UserWarning, match="adiabatic"):
-            follow_resonance(h2plus, quick, 2, classify=False)
+            follow_resonance(h2plus, quick, 2)
 
     def test_vstart_out_of_range(self, h2plus):
         with pytest.raises(ModelError, match="v_start"):
             follow_resonance(h2plus, self.SPEC, 99)
+
+
+def fail_solves(monkeypatch, fails):
+    """Make loops.find_resonance raise on the calls k (1-based) where
+    fails(k) is true."""
+    inner = loops.find_resonance
+    calls = [0]
+
+    def patched(*args, **kwargs):
+        calls[0] += 1
+        if fails(calls[0]):
+            raise ConvergenceError("injected solve failure")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(loops, "find_resonance", patched)
+
+
+class TestFollowSplits:
+    def test_one_failed_step_adds_one_midpoint(self, h2plus, traj, monkeypatch):
+        # solve 40 is the step to the 40th angle: it is retried halfway
+        # back to the 39th and then reached from there
+        fail_solves(monkeypatch, lambda k: k == 40)
+        split = follow_resonance(h2plus, WEAK_SPEC, 2)
+        assert len(split.samples) == len(traj.samples) + 1
+        assert split.v_end == traj.v_end
+        phis = [s.phi for s in split.samples]
+        assert phis[:40] == [s.phi for s in traj.samples[:40]]
+        assert phis[40] == pytest.approx(0.5 * (phis[39] + phis[41]))
+        assert phis[41:] == [s.phi for s in traj.samples[40:]]
+
+    def test_persistent_failure_keeps_the_partial_trajectory(self, h2plus,
+                                                             monkeypatch):
+        k = 30
+        fail_solves(monkeypatch, lambda n: n > k)
+        with pytest.raises(ContinuationError,
+                           match="restart with smaller steps") as info:
+            follow_resonance(h2plus, WEAK_SPEC, 2)
+        partial = info.value.partial
+        assert len(partial.samples) == k + 1
+        assert partial.v_end is None
 
 
 class TestScenario:
