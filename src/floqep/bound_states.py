@@ -37,14 +37,12 @@ class BoundLevel:
 class LevelSet(list):
     """List of BoundLevel with a truncation flag.
 
-    ``truncated`` is set when fewer levels exist than were requested;
-    ``reference`` is the absolute energy subtracted from every level.
+    ``truncated`` is set when fewer levels exist than were requested.
     """
 
-    def __init__(self, items=(), truncated: bool = False, reference: float = 0.0):
+    def __init__(self, items=(), truncated: bool = False):
         super().__init__(items)
         self.truncated = truncated
-        self.reference = reference
 
 
 class _Shooter:
@@ -229,7 +227,7 @@ def vibrational_levels(potential, mass: float, v_max: int | None = None, *,
     if asymptote is not None:
         cap = -1e-13
         if floor >= cap:
-            return LevelSet([], truncated=v_max is not None, reference=ref)
+            return LevelSet([], truncated=v_max is not None)
         n_bound = shooter.count_nodes(cap)
     else:
         cap = max(float(vv[0]), float(vv[-1]), floor + 1.0)
@@ -250,17 +248,16 @@ def vibrational_levels(potential, mass: float, v_max: int | None = None, *,
         levels.append(BoundLevel(v=v, energy=e))
         lo = e + max(1e-13, 1e-13 * abs(e))
     truncated = v_max is not None and want < v_max + 1
-    return LevelSet(levels, truncated=truncated, reference=ref)
+    return LevelSet(levels, truncated=truncated)
 
 
-def adiabatic_levels(model: MoleculeModel, field: FieldPoint, vplus_max: int, *,
-                     r_max: float = 25.0, n_points: int = 6001) -> LevelSet:
+def adiabatic_levels(model: MoleculeModel, field: FieldPoint, vplus_max: int) -> LevelSet:
     """Quasi-bound levels of the upper adiabatic potential V_plus.
 
     V_plus is treated as a plain single-channel well with a box boundary at
-    r_max; continuum coupling is ignored at this stage.  Energies come out
-    relative to the shared dissociation limit.  Returns an empty set when the
-    well holds no level at this field point.
+    25 bohr (6001 points); continuum coupling is ignored at this stage.
+    Energies come out relative to the shared dissociation limit.  Returns an
+    empty set when the well holds no level at this field point.
     """
     if field.intensity == 0.0:
         raise ModelError("zero-field adiabat undefined at crossing")
@@ -272,9 +269,9 @@ def adiabatic_levels(model: MoleculeModel, field: FieldPoint, vplus_max: int, *,
     r_lo = max(model.vg_curve.r_lo, model.vu_curve.r_lo, 0.3)
     try:
         return vibrational_levels(vplus, model.reduced_mass, vplus_max,
-                                  r_min=r_lo, r_max=r_max, n_points=n_points,
+                                  r_min=r_lo, r_max=25.0, n_points=6001,
                                   asymptote=0.0)
     except ModelError as err:
         if "no minimum" in str(err):
-            return LevelSet([], truncated=True, reference=ref)
+            return LevelSet([], truncated=True)
         raise

@@ -16,12 +16,13 @@ import os
 
 
 class SolveCache:
-    """Dict-like store persisted as one JSON file."""
+    """Dict-like store persisted as one JSON file; with no path it lives in
+    memory only and ``flush`` does nothing."""
 
-    def __init__(self, path):
-        self.path = str(path)
+    def __init__(self, path=None):
+        self.path = str(path) if path else None
         self._dirty = False
-        if os.path.exists(self.path):
+        if self.path and os.path.exists(self.path):
             with open(self.path) as fh:
                 self._data = json.load(fh)
         else:
@@ -57,7 +58,7 @@ class SolveCache:
         Records on disk are merged in under this store's own first, so
         processes sharing one cache file keep each other's records.
         """
-        if not self._dirty:
+        if not (self._dirty and self.path):
             return
         if os.path.exists(self.path):
             with open(self.path) as fh:

@@ -12,9 +12,12 @@ given as command-line flags win over config values.  The ``scenario``
 command additionally reads numbered loop sections (``loop1.lambda0``,
 ``loop1.v-from``, ...) that have no flag equivalent.
 
-Every command writes a ``<command>.json`` run document (config echo,
-results, provenance) plus its CSV/SVG outputs under ``--out``, and prints
-a one-line summary to stdout.
+Each command writes its CSV/SVG outputs under ``--out`` and returns its
+results, a one-line summary and an exit code; ``main`` writes them as the
+``<command>.json`` run document (config echo, results, provenance) and
+prints the summary to stdout.  ``--cache`` exists on the commands that
+reuse solves (``resonance``, ``ep-refine``, ``ep-map``), ``--jobs`` on
+``ep-map`` alone.
 """
 
 from __future__ import annotations
@@ -105,40 +108,25 @@ def _require(args, *names):
                          "(set as flag or config key)")
 
 
-# ------------------------------------------------------------- run docs
-
-def _echo(args):
-    return {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-
-
-def _run_doc(args, model, results):
-    return {"command": args.command,
-            "config": _echo(args),
-            "results": results,
-            "provenance": {"model": model.name,
-                           "model_hash": model.fingerprint,
-                           "code_version": __version__}}
-
-
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
 # ------------------------------------------------------------- commands
 
-def cmd_levels(args, model, grid, cache):
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def cmd_levels(args, model, grid):
     """Field-free level table, upper-well curves over a wavelength grid,
     and the crossing-diagram overlay."""
+    if args.lambda_step <= 0:
+        raise ModelError(f"--lambda-step must be positive, got {args.lambda_step}")
     levels = vibrational_levels(model.vg_curve, model.reduced_mass, args.v_max,
                                 r_min=grid.r_min, r_max=grid.r_max,
                                 n_points=grid.n_points)
-    with open(os.path.join(args.out, "levels.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["v", "energy_hartree"])
-        for lv in levels:
-            w.writerow([lv.v, f"{lv.energy:.12g}"])
+    _write_csv(os.path.join(args.out, "levels.csv"), ["v", "energy_hartree"],
+               [[lv.v, f"{lv.energy:.12g}"] for lv in levels])
 
     lam_grid = []
     if args.lambda_max > args.lambda_min:
@@ -146,20 +134,18 @@ def cmd_levels(args, model, grid, cache):
                                   args.lambda_max + 0.5 * args.lambda_step,
                                   args.lambda_step))
     curves = {}
-    n_pts = 0
-    with open(os.path.join(args.out, "well_curves.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambda_nm", "v_plus", "energy_hartree"])
-        for lam in lam_grid:
-            try:
-                ls = adiabatic_levels(model, FieldPoint(lam, args.curve_intensity),
-                                      args.vplus_max)
-            except ModelError:
-                continue
-            for lv in ls:
-                w.writerow([f"{lam:.12g}", lv.v, f"{lv.energy:.12g}"])
-                curves.setdefault(lv.v, []).append((lam, lv.energy))
-                n_pts += 1
+    rows = []
+    for lam in lam_grid:
+        try:
+            ls = adiabatic_levels(model, FieldPoint(lam, args.curve_intensity),
+                                  args.vplus_max)
+        except ModelError:
+            continue
+        for lv in ls:
+            rows.append([f"{lam:.12g}", lv.v, f"{lv.energy:.12g}"])
+            curves.setdefault(lv.v, []).append((lam, lv.energy))
+    _write_csv(os.path.join(args.out, "well_curves.csv"),
+               ["lambda_nm", "v_plus", "energy_hartree"], rows)
 
     if lam_grid:
         series = [(f"v+ = {vp}", [p[0] for p in pts], [p[1] for p in pts])
@@ -175,16 +161,15 @@ def cmd_levels(args, model, grid, cache):
               title=f"{model.name}: bound levels and upper-well curves",
               x_label=x_label, y_label="E (hartree)")
 
-    _write_json(os.path.join(args.out, "levels.json"), _run_doc(
-        args, model,
-        {"n_levels": len(levels), "truncated": levels.truncated,
-         "levels": [{"v": lv.v, "energy_hartree": lv.energy} for lv in levels],
-         "n_curve_points": n_pts}))
-    print(f"{len(levels)} bound levels, {n_pts} curve points -> {args.out}")
-    return 0
+    results = {"n_levels": len(levels), "truncated": levels.truncated,
+               "levels": [{"v": lv.v, "energy_hartree": lv.energy}
+                          for lv in levels],
+               "n_curve_points": len(rows)}
+    return (results, f"{len(levels)} bound levels, {len(rows)} curve points "
+            f"-> {args.out}", 0)
 
 
-def cmd_adiabatic(args, model, grid, cache):
+def cmd_adiabatic(args, model, grid):
     """Dressed adiabatic potentials and upper-well levels at one field
     point."""
     _require(args, "wavelength", "intensity")
@@ -193,20 +178,15 @@ def cmd_adiabatic(args, model, grid, cache):
     r_lo = max(model.vg_curve.r_lo, model.vu_curve.r_lo, 0.3, grid.r_min)
     r = np.linspace(r_lo, grid.r_max, 2001)
     upper, lower = adiabatic_potentials(model, field, r)
-    with open(os.path.join(args.out, "adiabatic_curves.csv"), "w",
-              newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r_bohr", "v_plus_hartree", "v_minus_hartree"])
-        for ri, up, lo in zip(r, upper, lower):
-            w.writerow([f"{ri:.12g}", f"{up:.12g}", f"{lo:.12g}"])
+    _write_csv(os.path.join(args.out, "adiabatic_curves.csv"),
+               ["r_bohr", "v_plus_hartree", "v_minus_hartree"],
+               [[f"{ri:.12g}", f"{up:.12g}", f"{lo:.12g}"]
+                for ri, up, lo in zip(r, upper, lower)])
 
     ls = adiabatic_levels(model, field, args.vplus_max)
-    with open(os.path.join(args.out, "adiabatic_levels.csv"), "w",
-              newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["v_plus", "energy_hartree"])
-        for lv in ls:
-            w.writerow([lv.v, f"{lv.energy:.12g}"])
+    _write_csv(os.path.join(args.out, "adiabatic_levels.csv"),
+               ["v_plus", "energy_hartree"],
+               [[lv.v, f"{lv.energy:.12g}"] for lv in ls])
 
     series = [("V+", list(r), list(upper - ref)),
               ("V-", list(r), list(lower - ref))]
@@ -215,31 +195,24 @@ def cmd_adiabatic(args, model, grid, cache):
               title=f"{model.name} dressed adiabats at {args.wavelength:g} nm",
               x_label="R (bohr)", y_label="E - E_diss (hartree)")
 
-    _write_json(os.path.join(args.out, "adiabatic.json"), _run_doc(
-        args, model,
-        {"n_levels": len(ls),
-         "levels": [{"v_plus": lv.v, "energy_hartree": lv.energy}
-                    for lv in ls]}))
-    print(f"{len(ls)} upper-well levels at {args.wavelength:g} nm, "
-          f"{args.intensity:g} W/cm^2 -> {args.out}")
-    return 0
+    results = {"n_levels": len(ls),
+               "levels": [{"v_plus": lv.v, "energy_hartree": lv.energy}
+                          for lv in ls]}
+    return (results, f"{len(ls)} upper-well levels at {args.wavelength:g} nm, "
+            f"{args.intensity:g} W/cm^2 -> {args.out}", 0)
 
 
-def cmd_resonance(args, model, grid, cache):
+def cmd_resonance(args, model, grid):
     """One Floquet resonance, continued in intensity from the field-free
     level."""
     _require(args, "wavelength", "intensity", "v")
-    key = None
-    rec = None
-    if cache is not None:
-        key = SolveCache.key(model, grid, "resonance",
-                             wavelength=args.wavelength,
-                             intensity=args.intensity, v=args.v,
-                             n_blocks=args.n_blocks, steps=args.steps)
-        rec = cache.get(key)
+    cache = SolveCache(args.cache)
+    key = SolveCache.key(model, grid, "resonance",
+                         wavelength=args.wavelength, intensity=args.intensity,
+                         v=args.v, n_blocks=args.n_blocks, steps=args.steps)
+    rec = cache.get(key)
     cached = rec is not None
-
-    if rec is None:
+    if not cached:
         levels = vibrational_levels(model.vg_curve, model.reduced_mass,
                                     r_min=grid.r_min, r_max=grid.r_max,
                                     n_points=grid.n_points)
@@ -256,20 +229,17 @@ def cmd_resonance(args, model, grid, cache):
                "character": classify_resonance(model, field, res.energy, grid,
                                                args.n_blocks),
                "residual": abs(res.residual)}
-        if cache is not None:
-            cache.put(key, rec)
-            cache.flush()
+        cache.put(key, rec)
+        cache.flush()
 
-    _write_json(os.path.join(args.out, "resonance.json"),
-                _run_doc(args, model, {**rec, "from_cache": cached}))
     tag = " [cache]" if cached else ""
-    print(f"E = {rec['energy_re_hartree']:.10g} hartree, "
-          f"Gamma = {rec['width_invcm']:.6g} cm^-1 "
-          f"({rec['character']}){tag}")
-    return 0
+    return ({**rec, "from_cache": cached},
+            f"E = {rec['energy_re_hartree']:.10g} hartree, "
+            f"Gamma = {rec['width_invcm']:.6g} cm^-1 ({rec['character']}){tag}",
+            0)
 
 
-def _ep_key(cache, model, grid, args, cand):
+def _ep_key(model, grid, args, cand):
     # keyed on the candidate identity, not the exact seed wavelength, so a
     # rerun with a shifted scan window still hits
     return SolveCache.key(model, grid, "ep", v=cand.v,
@@ -279,118 +249,96 @@ def _ep_key(cache, model, grid, args, cand):
 
 
 def _refine(model, cand, grid, n_blocks, i_cap):
-    """refine_ep, with a refinement failure returned as (cand, message)."""
+    """refine_ep, with a refinement failure returned as its message."""
     try:
         return refine_ep(model, cand, grid, n_blocks=n_blocks, i_cap=i_cap)
     except (ConvergenceError, ModelError) as ex:
-        return (cand, str(ex))
+        return str(ex)
 
 
 def _refine_worker(args):
-    origin, grid_args, n_blocks, cand_args, i_cap = args
-    return _refine(load_molecule(origin), EPCandidate(*cand_args),
-                   RadialGrid(*grid_args), n_blocks, i_cap)
+    # the model travels as its descriptor: analytic curves hold lambdas,
+    # which do not pickle
+    origin, cand, grid, n_blocks, i_cap = args
+    return _refine(load_molecule(origin), cand, grid, n_blocks, i_cap)
 
 
-def cmd_ep_map(args, model, grid, cache):
+def cmd_ep_map(args, model, grid):
     """Locate and refine every coalescence seeded inside the window."""
     lo, hi = args.window
     cands = approximate_eps(model, range(args.v_max + 1),
                             range(args.vplus_max + 1), (lo, hi))
+    cache = SolveCache(args.cache)
     records, todo = [], []
-    n_hits = 0
     for cand in cands:
-        rec = None
-        key = None
-        if cache is not None:
-            key = _ep_key(cache, model, grid, args, cand)
-            rec = cache.get(key)
-        if rec is not None:
-            records.append(EPRecord.from_dict(rec))
-            n_hits += 1
-        else:
+        key = _ep_key(model, grid, args, cand)
+        rec = cache.get(key)
+        if rec is None:
             todo.append((key, cand))
+        else:
+            records.append(EPRecord.from_dict(rec))
+    n_hits = len(records)
 
     # workers only compute; cache and file writes stay in this process
+    if args.jobs > 1 and todo:
+        work = [(model.origin, cand, grid, args.n_blocks, args.i_cap)
+                for _, cand in todo]
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(_refine_worker, work))
+    else:
+        results = (_refine(model, cand, grid, args.n_blocks, args.i_cap)
+                   for _, cand in todo)
     failures = []
-
-    def absorb(key, cand, result):
+    for (key, cand), result in zip(todo, results):
         if isinstance(result, EPRecord):
             records.append(result)
-            if cache is not None:
-                cache.put(key, result.to_dict())
+            cache.put(key, result.to_dict())
         else:
-            failures.append((cand, result[1]))
-
-    if args.jobs > 1 and model.origin and todo:
-        grid_args = (grid.r_min, grid.r_max, grid.n_points,
-                     grid.ecs_radius, grid.ecs_angle)
-        work = [(model.origin, grid_args, args.n_blocks,
-                 (c.v, c.v_partner, c.v_plus, c.lambda_guess), args.i_cap)
-                for _, c in todo]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for (key, cand), result in zip(todo, pool.map(_refine_worker,
-                                                          work)):
-                absorb(key, cand, result)
-    else:
-        for key, cand in todo:
-            absorb(key, cand, _refine(model, cand, grid, args.n_blocks,
-                                      args.i_cap))
-    if cache is not None:
-        cache.flush()
-    for cand, msg in failures:
-        log.warning("refinement failed for pair (%d,%d) v+=%d: %s",
-                    cand.v, cand.v_partner, cand.v_plus, msg)
+            failures.append((cand, result))
+            log.warning("refinement failed for pair (%d,%d) v+=%d: %s",
+                        cand.v, cand.v_partner, cand.v_plus, result)
+    cache.flush()
 
     ordered = [r for band in cluster_bands(records)
                for r in sorted(band, key=lambda r: r.pair[0])]
     records_to_csv(ordered, os.path.join(args.out, "ep_map.csv"))
     ep_map_plot(os.path.join(args.out, "ep_map.svg"), ordered,
                 title=f"{model.name} coalescence map")
-    _write_json(os.path.join(args.out, "ep_map.json"), _run_doc(
-        args, model,
-        {"n_records": len(ordered), "n_cached": n_hits,
-         "n_failed": len(failures),
-         "failures": [{"pair": [c.v, c.v_partner], "v_plus": c.v_plus,
-                       "lambda_guess": c.lambda_guess, "reason": msg}
-                      for c, msg in failures],
-         "records": [r.to_dict() for r in ordered]}))
-    print(f"{len(ordered)} coalescences ({n_hits} from cache, "
-          f"{len(failures)} failed) -> {args.out}")
-    return 0
+    results = {"n_records": len(ordered), "n_cached": n_hits,
+               "n_failed": len(failures),
+               "failures": [{"pair": [c.v, c.v_partner], "v_plus": c.v_plus,
+                             "lambda_guess": c.lambda_guess, "reason": msg}
+                            for c, msg in failures],
+               "records": [r.to_dict() for r in ordered]}
+    return (results, f"{len(ordered)} coalescences ({n_hits} from cache, "
+            f"{len(failures)} failed) -> {args.out}", 0)
 
 
-def cmd_ep_refine(args, model, grid, cache):
+def cmd_ep_refine(args, model, grid):
     """Refine a single candidate to its coalescence point."""
     _require(args, "v", "v_plus", "lambda_guess")
     partner = args.v_partner if args.v_partner is not None else args.v + 1
     cand = EPCandidate(v=args.v, v_partner=partner, v_plus=args.v_plus,
                        lambda_guess=args.lambda_guess)
-    key = None
-    rec_dict = None
-    if cache is not None:
-        key = _ep_key(cache, model, grid, args, cand)
-        rec_dict = cache.get(key)
-    cached = rec_dict is not None
-    if rec_dict is None:
+    cache = SolveCache(args.cache)
+    key = _ep_key(model, grid, args, cand)
+    rec = cache.get(key)
+    cached = rec is not None
+    if not cached:
         rec = refine_ep(model, cand, grid, n_blocks=args.n_blocks,
-                        i_cap=args.i_cap)
-        rec_dict = rec.to_dict()
-        if cache is not None:
-            cache.put(key, rec_dict)
-            cache.flush()
+                        i_cap=args.i_cap).to_dict()
+        cache.put(key, rec)
+        cache.flush()
 
-    _write_json(os.path.join(args.out, "ep_refine.json"),
-                _run_doc(args, model, {**rec_dict, "from_cache": cached}))
     tag = " [cache]" if cached else ""
-    print(f"EP({cand.v},{cand.v_partner}) at lambda = "
-          f"{rec_dict['lambda_nm']:.6f} nm, I = "
-          f"{rec_dict['intensity_1e13Wcm2']:.6f} x10^13 W/cm^2 "
-          f"(gap {rec_dict['gap_residual']:.2e}){tag}")
-    return 0
+    return ({**rec, "from_cache": cached},
+            f"EP({cand.v},{cand.v_partner}) at lambda = "
+            f"{rec['lambda_nm']:.6f} nm, I = "
+            f"{rec['intensity_1e13Wcm2']:.6f} x10^13 W/cm^2 "
+            f"(gap {rec['gap_residual']:.2e}){tag}", 0)
 
 
-def cmd_loop(args, model, grid, cache):
+def cmd_loop(args, model, grid):
     """Transport one resonance around a parameter-plane loop."""
     _require(args, "lambda0", "d_lambda", "i_max", "v_start")
     spec = LoopSpec(lambda0=args.lambda0, d_lambda=args.d_lambda,
@@ -431,19 +379,16 @@ def cmd_loop(args, model, grid, cache):
               title="non-dissociated fraction",
               x_label="t (fs)", y_label="P_ND")
 
-    _write_json(os.path.join(args.out, "loop.json"), _run_doc(
-        args, model,
-        {"v_start": traj.v_start, "v_end": traj.v_end,
-         "exchanged": traj.exchanged, "p_nd_final": p_end,
-         "n_samples": len(traj.samples), "partial": partial,
-         "characters": [[phi, c] for phi, c in traj.characters]}))
+    results = {"v_start": traj.v_start, "v_end": traj.v_end,
+               "exchanged": traj.exchanged, "p_nd_final": p_end,
+               "n_samples": len(traj.samples), "partial": partial,
+               "characters": [[phi, c] for phi, c in traj.characters]}
     tag = " [partial]" if partial else ""
-    print(f"v = {traj.v_start} -> {traj.v_end}, "
-          f"P_ND(t_f) = {p_end:.4g}{tag}")
-    return 3 if partial else 0
+    return (results, f"v = {traj.v_start} -> {traj.v_end}, "
+            f"P_ND(t_f) = {p_end:.4g}{tag}", 3 if partial else 0)
 
 
-def cmd_scenario(args, model, grid, cache):
+def cmd_scenario(args, model, grid):
     """Chain loops from a config file and compare survivals."""
     if not args.loop_sections:
         raise ModelError("scenario needs loop sections in the config file "
@@ -463,15 +408,13 @@ def cmd_scenario(args, model, grid, cache):
 
     report = run_scenario(model, loops, grid, n_blocks=args.n_blocks)
 
-    with open(os.path.join(args.out, "scenario.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["loop", "v_from", "v_to", "lambda0_nm", "d_lambda_nm",
-                    "i_max_1e13Wcm2", "t_f_fs", "p_nd"])
-        for i, ((spec, _), (va, vb), p) in enumerate(
-                zip(loops, report.transfers, report.survivals), 1):
-            w.writerow([i, va, vb, f"{spec.lambda0:.12g}",
-                        f"{spec.d_lambda:.12g}", f"{spec.i_max:.12g}",
-                        f"{spec.t_f:.12g}", f"{p:.12g}"])
+    _write_csv(os.path.join(args.out, "scenario.csv"),
+               ["loop", "v_from", "v_to", "lambda0_nm", "d_lambda_nm",
+                "i_max_1e13Wcm2", "t_f_fs", "p_nd"],
+               [[i, va, vb, f"{spec.lambda0:.12g}", f"{spec.d_lambda:.12g}",
+                 f"{spec.i_max:.12g}", f"{spec.t_f:.12g}", f"{p:.12g}"]
+                for i, ((spec, _), (va, vb), p) in enumerate(
+                    zip(loops, report.transfers, report.survivals), 1)])
 
     series = []
     t_off, p_prod = 0.0, 1.0
@@ -485,15 +428,12 @@ def cmd_scenario(args, model, grid, cache):
     line_plot(os.path.join(args.out, "scenario_survival.svg"), series,
               title="chained survival", x_label="t (fs)", y_label="P_ND")
 
-    _write_json(os.path.join(args.out, "scenario.json"), _run_doc(
-        args, model,
-        {"transfers": [list(t) for t in report.transfers],
-         "survivals": report.survivals,
-         "cumulative": report.cumulative}))
-    print(f"{len(loops)} loops, transfers "
-          f"{' '.join(f'{a}->{b}' for a, b in report.transfers)}, "
-          f"cumulative P_ND = {report.cumulative:.4g}")
-    return 0
+    results = {"transfers": [list(t) for t in report.transfers],
+               "survivals": report.survivals,
+               "cumulative": report.cumulative}
+    return (results, f"{len(loops)} loops, transfers "
+            f"{' '.join(f'{a}->{b}' for a, b in report.transfers)}, "
+            f"cumulative P_ND = {report.cumulative:.4g}", 0)
 
 
 # --------------------------------------------------------------- parser
@@ -510,17 +450,16 @@ def _build_parser():
     subparsers = {}
     g = RadialGrid()
 
-    def add_command(name, func, help_):
+    def add_command(name, func, help_, cache=False):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--model", default="h2plus",
                         help="bundled model name or descriptor file path")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--config",
                         help="key = value config file; flags win over it")
-        sp.add_argument("--cache",
-                        help="JSON cache file for resumable solves")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for refinements")
+        if cache:
+            sp.add_argument("--cache",
+                            help="JSON cache file for resumable solves")
         sp.add_argument("--verbose", action="store_true",
                         help="info-level logging")
         sp.add_argument("--grid.r-min", dest="grid_r_min", type=float,
@@ -561,7 +500,8 @@ def _build_parser():
     sp.add_argument("--intensity", type=float, help="W/cm^2")
     sp.add_argument("--vplus-max", type=int, default=8)
 
-    sp = add_command("resonance", cmd_resonance, "single Floquet solve")
+    sp = add_command("resonance", cmd_resonance, "single Floquet solve",
+                     cache=True)
     sp.add_argument("--wavelength", type=float, help="nm")
     sp.add_argument("--intensity", type=float, help="W/cm^2")
     sp.add_argument("--v", type=int, help="field-free level to continue from")
@@ -570,7 +510,9 @@ def _build_parser():
     sp.add_argument("--n-blocks", type=int, default=2)
 
     sp = add_command("ep-map", cmd_ep_map,
-                     "locate and refine coalescences in a window")
+                     "locate and refine coalescences in a window", cache=True)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes for refinements")
     sp.add_argument("--v-max", type=int, default=16)
     sp.add_argument("--window", type=float, nargs=2, default=(110.0, 900.0),
                     metavar=("LO", "HI"), help="wavelength window (nm)")
@@ -580,7 +522,7 @@ def _build_parser():
     sp.add_argument("--n-blocks", type=int, default=2)
 
     sp = add_command("ep-refine", cmd_ep_refine,
-                     "refine one coalescence candidate")
+                     "refine one coalescence candidate", cache=True)
     sp.add_argument("--v", type=int)
     sp.add_argument("--v-partner", type=int, default=None,
                     help="default: v + 1")
@@ -639,9 +581,21 @@ def main(argv=None) -> int:
         grid = RadialGrid(args.grid_r_min, args.grid_r_max,
                           args.grid_n_points, args.grid_ecs_radius,
                           args.grid_ecs_angle)
-        cache = SolveCache(args.cache) if args.cache else None
         os.makedirs(args.out, exist_ok=True)
-        return args.func(args, model, grid, cache)
+        results, summary, code = args.func(args, model, grid)
+        doc = {"command": args.command,
+               "config": {k: v for k, v in vars(args).items()
+                          if k not in ("func", "command")},
+               "results": results,
+               "provenance": {"model": model.name,
+                              "model_hash": model.fingerprint,
+                              "code_version": __version__}}
+        with open(os.path.join(args.out, args.command.replace("-", "_")
+                               + ".json"), "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        print(summary)
+        return code
     except (ModelError, GridError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

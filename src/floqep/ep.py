@@ -41,6 +41,9 @@ _E_STEP = 1e-5         # hartree, stencil of D' and D''
 _MAX_JUMP = 5e-4       # hartree, largest move of either root in one walk step
 _TRUST_JUMPS = 4.0     # pair-solve trust radius around the guess, in _MAX_JUMP
 _FIT_POINTS = 6        # recent walk points in each root's linear prediction
+_D_LAMBDA = 1e-3       # nm, forward-difference step of the Newton Jacobian
+_D_INTENSITY = 1e-5    # 10^13 W/cm^2, likewise
+_SCAN_STEP = 4.0       # nm, wavelength spacing of the candidate level table
 
 
 @dataclass(frozen=True)
@@ -151,12 +154,11 @@ def crossing_radius(model: MoleculeModel, wavelength: float) -> float | None:
 
 
 def approximate_eps(model: MoleculeModel, v_range, vplus_range,
-                    lambda_window: tuple[float, float], *,
-                    scan_step: float = 4.0) -> list[EPCandidate]:
+                    lambda_window: tuple[float, float]) -> list[EPCandidate]:
     """Coarse EP wavelengths from crossings of the two level families.
 
     The upper-well levels are computed once per wavelength of a table at
-    DIAGNOSTIC_INTENSITY, ``scan_step`` nm apart; every sign change of
+    DIAGNOSTIC_INTENSITY, _SCAN_STEP nm apart; every sign change of
     E_v - E_{v+}(lambda) in the table is located on a cubic spline through
     the table points around it, with no further level solves.  Wavelengths
     whose crossing falls inside the equilibrium distance are excluded.  Pairs
@@ -185,7 +187,7 @@ def approximate_eps(model: MoleculeModel, v_range, vplus_range,
             return {}
         return {l.v: l.energy for l in ls}
 
-    grid_lam = np.arange(lo, hi + scan_step, scan_step)
+    grid_lam = np.arange(lo, hi + _SCAN_STEP, _SCAN_STEP)
     grid_lam[-1] = min(grid_lam[-1], hi)
     table = [well_levels(lam) for lam in grid_lam]
 
@@ -288,8 +290,7 @@ def _quadratic_gap(d0, d1, d2):
     return abs(2.0 * cmath.sqrt(d1 * d1 - 2.0 * d0 * d2) / d2)
 
 
-def find_double_root(det_at, e0, lam0, i0, radius, *, d_lambda=1e-3,
-                     d_intensity=1e-5):
+def find_double_root(det_at, e0, lam0, i0, radius):
     """Newton on D = dD/dE = 0 for (Re E, Im E, lambda, I).
 
     det_at(lambda_nm, intensity_1e13) returns the matching determinant
@@ -308,7 +309,7 @@ def find_double_root(det_at, e0, lam0, i0, radius, *, d_lambda=1e-3,
         if gap < _GAP_TOL:
             return lam, inten, e, gap
         cols = []
-        for dl, di in ((d_lambda, 0.0), (0.0, d_intensity)):
+        for dl, di in ((_D_LAMBDA, 0.0), (0.0, _D_INTENSITY)):
             s0, s1, _ = _taylor(det_at(lam + dl, inten + di), e, _E_STEP)
             cols.append(((s0 - d0) / (dl + di), (s1 - d1) / (dl + di)))
         jac = np.array([[d1, 1j * d1, cols[0][0], cols[1][0]],

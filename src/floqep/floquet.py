@@ -51,16 +51,11 @@ _MAX_SPLITS = 14       # step halvings allowed on the way to one continuation ta
 
 @dataclass(frozen=True)
 class Resonance:
-    """One complex quasienergy E = E_R - i Gamma/2.
-
-    ``label`` is the field-free vibrational number attached by continuation
-    (or zero-field matching); ``residual`` is |matching determinant| at
-    convergence.
-    """
+    """One complex quasienergy E = E_R - i Gamma/2; ``residual`` is
+    |matching determinant| at convergence."""
 
     energy: complex
     width: float
-    label: int | None = None
     residual: float = 0.0
 
     def __post_init__(self):
@@ -97,7 +92,7 @@ class CoupledSystem:
 
         vg, vu = model.vg_curve, model.vu_curve
         corner_r = grid.points()[grid.corner_index]
-        for crv in (vg, vu):
+        for crv in (vg, vu, model.dipole):
             if corner_r < crv.continuation_start - 1e-9:
                 raise GridError(
                     f"ecs_radius must lie at or beyond the analytic tail region "
@@ -297,8 +292,7 @@ def build_system(model: MoleculeModel, field: FieldPoint, grid: RadialGrid | Non
     return CoupledSystem(model, field, grid, n_blocks, matching_index)
 
 
-def find_resonance(system: CoupledSystem, e_guess: complex, label: int | None = None,
-                   *, deflate: tuple = (), max_step: float = _MAX_STEP,
+def find_resonance(system: CoupledSystem, e_guess: complex, *, deflate: tuple = (),
                    radius: float = math.inf) -> Resonance:
     """Secant iteration in the complex plane from e_guess to one quasienergy.
 
@@ -333,8 +327,8 @@ def find_resonance(system: CoupledSystem, e_guess: complex, label: int | None = 
             continue
         step = -f1 * (e1 - e0) / denom
         size = abs(step)
-        if size > max_step:
-            step *= max_step / size
+        if size > _MAX_STEP:
+            step *= _MAX_STEP / size
         e0, f0 = e1, f1
         e1 = e1 + step
         if abs(e1 - e_guess) > radius:
@@ -350,7 +344,7 @@ def find_resonance(system: CoupledSystem, e_guess: complex, label: int | None = 
                     f"converged to the unphysical sheet (Im E = {e1.imag:.3e})",
                     last_value=e1)
             energy = complex(e1.real, min(e1.imag, 0.0))
-            return Resonance(energy=energy, width=-2.0 * energy.imag, label=label,
+            return Resonance(energy=energy, width=-2.0 * energy.imag,
                              residual=undeflated(e1, f1))
     raise ConvergenceError(
         f"no quasienergy within {_MAX_SECANT} secant iterations "

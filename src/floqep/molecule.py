@@ -117,6 +117,17 @@ def linear_dipole(slope: float) -> AnalyticCurve:
     )
 
 
+def _fit_tail(r: np.ndarray, v: np.ndarray, start: float, n_min: int, basis):
+    """Least-squares coefficients of the functions basis(R) over the table
+    nodes at or beyond start."""
+    mask = r >= start
+    if int(mask.sum()) < n_min:
+        raise ModelError(f"tail fit needs >= {n_min} nodes beyond {start} bohr, "
+                         f"got {int(mask.sum())}")
+    coef, *_ = np.linalg.lstsq(np.vstack(basis(r[mask])).T, v[mask], rcond=None)
+    return coef
+
+
 class _AsymptoticTail:
     """Least-squares tail model c0 + c1 R e^-R + c2 e^-R + c3/R^4 + c4/R^6.
 
@@ -127,14 +138,8 @@ class _AsymptoticTail:
     """
 
     def __init__(self, r: np.ndarray, v: np.ndarray, start: float):
-        mask = r >= start
-        if int(mask.sum()) < 6:
-            raise ModelError(f"tail fit needs >= 6 nodes beyond {start} bohr, got {int(mask.sum())}")
-        rr, vv = r[mask], v[mask]
-        basis = np.vstack([np.ones_like(rr), rr * np.exp(-rr), np.exp(-rr),
-                           rr ** -4.0, rr ** -6.0]).T
-        coef, *_ = np.linalg.lstsq(basis, vv, rcond=None)
-        self.coef = coef
+        self.coef = _fit_tail(r, v, start, 6, lambda rr: [
+            np.ones_like(rr), rr * np.exp(-rr), np.exp(-rr), rr ** -4.0, rr ** -6.0])
         self.start = float(start)
 
     def eval_at(self, z):
@@ -152,13 +157,32 @@ class _AsymptoticTail:
                 + 20.0 * c[3] * z ** -6.0 + 42.0 * c[4] * z ** -8.0)
 
 
+class _LinearTail:
+    """Least-squares line c0 + c1 R through the outer table nodes: the
+    continuation of a tabulated dipole, which grows as R/2 at large R."""
+
+    def __init__(self, r: np.ndarray, v: np.ndarray, start: float):
+        self.coef = _fit_tail(r, v, start, 2, lambda rr: [np.ones_like(rr), rr])
+        self.start = float(start)
+
+    def eval_at(self, z):
+        return self.coef[0] + self.coef[1] * z
+
+    def d1(self, z):
+        return self.coef[1] * np.ones_like(z)
+
+    def d2(self, z):
+        return np.zeros_like(z)
+
+
 class TabulatedCurve:
     """Cubic-spline interpolant of a two-column (R, value) table.
 
-    Real-axis evaluation uses the spline over the table span.  Beyond the last
-    node a potential follows its fitted asymptotic tail while a dipole
-    continues linearly; the same closed forms provide values and derivatives
-    at complex coordinates (only meaningful for Re z >= continuation_start).
+    Real-axis evaluation uses the spline over the table span.  A fitted tail
+    over the nodes at or beyond ``tail_start`` (asymptotic for a potential,
+    linear for a dipole) extrapolates beyond the last node and provides
+    values and derivatives at complex coordinates (only meaningful for
+    Re z >= continuation_start = tail_start).
     """
 
     def __init__(self, r: np.ndarray, v: np.ndarray, kind: str = "potential",
@@ -174,22 +198,17 @@ class TabulatedCurve:
         self.r_lo = float(r[0])
         self.r_hi = float(r[-1])
         self._spline = CubicSpline(r, v)
-        self.kind = kind
+        if tail_start is None:
+            tail_start = self.r_hi - 0.35 * (self.r_hi - self.r_lo)
         if kind == "potential":
-            if tail_start is None:
-                tail_start = self.r_hi - 0.35 * (self.r_hi - self.r_lo)
             self._tail = _AsymptoticTail(r, v, tail_start)
             self.asymptote = float(self._tail.coef[0])
-            self.continuation_start = self._tail.start
         elif kind == "dipole":
-            # linear continuation anchored at the last node
-            self._mu_end = float(v[-1])
-            self._mu_slope = float(self._spline(self.r_hi, 1))
-            self._tail = None
+            self._tail = _LinearTail(r, v, tail_start)
             self.asymptote = None
-            self.continuation_start = self.r_hi
         else:
             raise ModelError(f"unknown curve kind {kind!r}")
+        self.continuation_start = self._tail.start
 
     # -- real axis -------------------------------------------------------
     def __call__(self, r):
@@ -199,13 +218,8 @@ class TabulatedCurve:
         if np.any(r < self.r_lo - 1e-12):
             raise ModelError(f"evaluation below table start ({self.r_lo} bohr)")
         out = np.where(r <= self.r_hi, self._spline(np.clip(r, self.r_lo, self.r_hi)),
-                       self._extrapolate(r))
+                       self._tail.eval_at(r))
         return float(out[0]) if scalar else out
-
-    def _extrapolate(self, r):
-        if self.kind == "potential":
-            return self._tail.eval_at(r)
-        return self._mu_end + self._mu_slope * (r - self.r_hi)
 
     # -- analytic continuation / derivatives ------------------------------
     def eval_at(self, z):
@@ -215,25 +229,19 @@ class TabulatedCurve:
             return self.__call__(z.astype(float) if z.ndim else float(z))
         if np.any(np.real(z) < self.continuation_start - 1e-9):
             raise ModelError("complex evaluation requested before the continuation region")
-        if self.kind == "potential":
-            return self._tail.eval_at(z)
-        return self._mu_end + self._mu_slope * (z - self.r_hi)
+        return self._tail.eval_at(z)
 
     def d1(self, z):
         z = np.asarray(z)
         if np.isrealobj(z) and np.all(z <= self.r_hi):
             return self._spline(z, 1)
-        if self.kind == "potential":
-            return self._tail.d1(z)
-        return self._mu_slope * np.ones_like(z)
+        return self._tail.d1(z)
 
     def d2(self, z):
         z = np.asarray(z)
         if np.isrealobj(z) and np.all(z <= self.r_hi):
             return self._spline(z, 2)
-        if self.kind == "potential":
-            return self._tail.d2(z)
-        return np.zeros_like(z)
+        return self._tail.d2(z)
 
 
 @dataclass(frozen=True)
@@ -324,13 +332,13 @@ class MoleculeModel:
     # descriptor this model was loaded from; lets worker processes reload it
     origin: str = ""
 
-    def validate(self, n_samples: int = 2000) -> None:
+    def validate(self) -> None:
         """Check the structural invariants; raises ModelError on violation."""
         if self.reduced_mass <= 0:
             raise ModelError(f"reduced mass must be positive, got {self.reduced_mass}")
         r_lo = max(self.vg_curve.r_lo, self.vu_curve.r_lo, 0.05)
         r_hi = min(r for r in (self.vg_curve.r_hi, self.vu_curve.r_hi, 40.0) if math.isfinite(r))
-        r = np.linspace(r_lo, r_hi, n_samples)
+        r = np.linspace(r_lo, r_hi, 2000)
         vg = np.asarray(self.vg_curve(r))
         vu = np.asarray(self.vu_curve(r))
         mu = np.asarray(self.dipole(r))
@@ -392,11 +400,12 @@ def _load_table(path: str) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1]
 
 
-def _dipole_from_spec(value: str, base: str):
+def _dipole_from_spec(value: str, base: str, tail_start: float | None = None):
     parts = value.split()
     if parts[0] == "linear":
         return linear_dipole(float(parts[1]) if len(parts) > 1 else 0.5)
-    return TabulatedCurve(*_load_table(os.path.join(base, value)), kind="dipole")
+    return TabulatedCurve(*_load_table(os.path.join(base, value)), kind="dipole",
+                          tail_start=tail_start)
 
 
 def load_molecule(descriptor: str) -> MoleculeModel:
@@ -438,7 +447,7 @@ def load_molecule(descriptor: str) -> MoleculeModel:
                 pieces.append(fh.read())
         vg_curve = TabulatedCurve(rg, vg, tail_start=tail_start)
         vu_curve = TabulatedCurve(ru, vu, tail_start=tail_start)
-        dipole = _dipole_from_spec(spec.get("dipole", "linear 0.5"), base)
+        dipole = _dipole_from_spec(spec.get("dipole", "linear 0.5"), base, tail_start)
     elif kind == "analytic":
         vg_curve = morse_curve(float(spec["morse-depth"]), float(spec["morse-width"]),
                                float(spec["morse-r0"]))

@@ -12,6 +12,7 @@ import math
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 _LEFT, _RIGHT, _TOP, _BOTTOM = 72, 24, 44, 56
+_WIDTH, _HEIGHT = 860, 520
 
 
 def _esc(text: str) -> str:
@@ -45,12 +46,11 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 class _Frame:
     """Data-to-pixel transform over the inner plot box."""
 
-    def __init__(self, x_range, y_range, size):
+    def __init__(self, x_range, y_range):
         self.x_lo, self.x_hi = x_range
         self.y_lo, self.y_hi = y_range
-        self.w, self.h = size
-        self.box_w = self.w - _LEFT - _RIGHT
-        self.box_h = self.h - _TOP - _BOTTOM
+        self.box_w = _WIDTH - _LEFT - _RIGHT
+        self.box_h = _HEIGHT - _TOP - _BOTTOM
 
     def x(self, v: float) -> float:
         return _LEFT + (v - self.x_lo) / (self.x_hi - self.x_lo) * self.box_w
@@ -69,7 +69,7 @@ def _padded_range(values) -> tuple[float, float]:
 
 
 def line_plot(path, series, *, title="", x_label="", y_label="",
-              markers=(), size=(860, 520)):
+              markers=()):
     """Write a polyline plot.
 
     ``series`` is a list of (label, xs, ys) triples; ``markers`` a list of
@@ -80,12 +80,12 @@ def line_plot(path, series, *, title="", x_label="", y_label="",
     ys_all = [y for _, _, ys in series for y in ys] + [m[1] for m in markers]
     if not xs_all:
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
-    frame = _Frame(_padded_range(xs_all), _padded_range(ys_all), size)
+    frame = _Frame(_padded_range(xs_all), _padded_range(ys_all))
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size[0]}" '
-             f'height="{size[1]}" viewBox="0 0 {size[0]} {size[1]}" '
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+             f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
              f'font-family="sans-serif" font-size="12">',
-             f'<rect width="{size[0]}" height="{size[1]}" fill="white"/>']
+             f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>']
 
     for tx in _ticks(frame.x_lo, frame.x_hi):
         px = frame.x(tx)
@@ -125,11 +125,11 @@ def line_plot(path, series, *, title="", x_label="", y_label="",
                          f'{_esc(label)}</text>')
 
     if title:
-        parts.append(f'<text x="{size[0] / 2:.0f}" y="24" text-anchor="middle" '
+        parts.append(f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
                      f'font-size="15">{_esc(title)}</text>')
     if x_label:
         parts.append(f'<text x="{_LEFT + frame.box_w / 2:.0f}" '
-                     f'y="{size[1] - 14}" text-anchor="middle">{_esc(x_label)}</text>')
+                     f'y="{_HEIGHT - 14}" text-anchor="middle">{_esc(x_label)}</text>')
     if y_label:
         cy = _TOP + frame.box_h / 2
         parts.append(f'<text x="18" y="{cy:.0f}" text-anchor="middle" '

@@ -180,7 +180,7 @@ def test_weak_field_limit_recovers_bound_levels(h2plus):
     assert len(levels) >= 17
     system = build_system(h2plus, FieldPoint(70.0, 1.0e6), grid)
     for lv in levels[:17]:
-        res = find_resonance(system, complex(lv.energy), label=lv.v)
+        res = find_resonance(system, complex(lv.energy))
         de = abs(res.energy.real - lv.energy)
         assert de < 1e-8, f"v={lv.v}: position moved by {de:.3e} hartree"
         assert res.width < 1e-10, f"v={lv.v}: width {res.width:.3e} hartree"

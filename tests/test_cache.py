@@ -15,3 +15,11 @@ class TestSolveCache:
         assert merged.get("a") == {"x": 1}
         assert merged.get("b") == {"x": 2}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+
+    def test_no_path_keeps_records_in_memory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = SolveCache(None)
+        store.put("a", {"x": 1})
+        store.flush()
+        assert store.get("a") == {"x": 1}
+        assert list(tmp_path.iterdir()) == []

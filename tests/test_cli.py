@@ -53,6 +53,14 @@ class TestLevelsCommand:
         lines = (tmp_path / "well_curves.csv").read_text().strip().splitlines()
         assert lines == ["lambda_nm,v_plus,energy_hartree"]
 
+    @pytest.mark.parametrize("step", ["0", "-5"])
+    def test_non_positive_lambda_step_rejected(self, tmp_path, capsys, step):
+        assert main(["levels", "--out", str(tmp_path),
+                     "--lambda-min", "500", "--lambda-max", "600",
+                     "--lambda-step", step]) == 2
+        assert "--lambda-step must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "levels.json").exists()
+
     def test_curve_scan_and_svg(self, tmp_path):
         assert main(["levels", "--out", str(tmp_path),
                      "--lambda-min", "500", "--lambda-max", "600",
@@ -92,6 +100,16 @@ class TestConfigPrecedence:
         assert main(["levels", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_jobs_only_on_ep_map(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs = 2\n")
+        assert main(["levels", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert "unknown config key 'jobs'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["loop", "--jobs", "2", "--out", str(tmp_path)])
+        assert info.value.code == 2
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["levels", "--config", str(tmp_path / "nope.cfg"),

@@ -169,11 +169,13 @@ class TestCoalescenceSearch:
         assert gap < 1e-8
         assert e == pytest.approx(TOY_E0, abs=1e-8)
 
-    def test_fd_step_independence(self):
-        coarse = find_double_root(toy_det, *seed(601.5, 0.26),
-                                  d_lambda=0.02, d_intensity=0.002)
-        fine = find_double_root(toy_det, *seed(601.5, 0.26),
-                                d_lambda=0.002, d_intensity=0.0002)
+    def test_fd_step_independence(self, monkeypatch):
+        monkeypatch.setattr(ep, "_D_LAMBDA", 0.02)
+        monkeypatch.setattr(ep, "_D_INTENSITY", 0.002)
+        coarse = find_double_root(toy_det, *seed(601.5, 0.26))
+        monkeypatch.setattr(ep, "_D_LAMBDA", 0.002)
+        monkeypatch.setattr(ep, "_D_INTENSITY", 0.0002)
+        fine = find_double_root(toy_det, *seed(601.5, 0.26))
         assert coarse[0] == pytest.approx(fine[0], abs=1e-9)
         assert coarse[1] == pytest.approx(fine[1], abs=1e-9)
 

@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import os
 import random
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from floqep import floquet
 from floqep.bound_states import vibrational_levels
 from floqep.errors import ConvergenceError, GridError, ModelError
 from floqep.floquet import (
@@ -20,6 +23,7 @@ from floqep.molecule import (
     FieldPoint,
     MoleculeModel,
     RadialGrid,
+    TabulatedCurve,
     exp_repulsive,
     linear_dipole,
     load_molecule,
@@ -382,6 +386,37 @@ class TestContinuation:
         assert step.calls == [1.0]
 
 
+class TestTabulatedDipole:
+    """A dipole table continues linearly from ``tail-start``, like the
+    potentials, so it works on the default contour."""
+
+    def test_table_of_r_over_2_matches_linear_dipole(self, h2plus, grid,
+                                                     free_levels, tmp_path):
+        data = os.path.dirname(os.path.abspath(h2plus.origin))
+        r = np.loadtxt(os.path.join(data, "h2p_1ssg.tsv"))[:, 0]
+        np.savetxt(tmp_path / "mu.tsv", np.column_stack([r, 0.5 * r]))
+        desc = tmp_path / "tabmu.model"
+        desc.write_text(f"kind = tables\n"
+                        f"vg = {os.path.join(data, 'h2p_1ssg.tsv')}\n"
+                        f"vu = {os.path.join(data, 'h2p_2psu.tsv')}\n"
+                        "dipole = mu.tsv\nmass = 918.0764\ntail-start = 12\n")
+        tabulated = load_molecule(str(desc))
+        assert tabulated.dipole.continuation_start == 12.0
+        field = FieldPoint(788.2, 1e12)
+        e0 = free_levels[12].energy
+        linear = ramp_resonance(h2plus, field, e0, 8, grid)
+        table = ramp_resonance(tabulated, field, e0, 8, grid)
+        assert abs(table.energy - linear.energy) < 1e-10
+
+    def test_tail_beyond_the_corner_rejected(self, h2plus):
+        r = np.linspace(0.3, 30.0, 200)
+        late = dataclasses.replace(
+            h2plus, dipole=TabulatedCurve(r, 0.5 * r, kind="dipole",
+                                          tail_start=20.0))
+        with pytest.raises(GridError, match="tail region"):
+            build_system(late, FieldPoint(600.0, 1e12))
+
+
 class TestGuards:
     def test_coarse_grid_rejected(self, h2plus):
         with pytest.raises(GridError, match="too coarse"):
@@ -397,17 +432,20 @@ class TestGuards:
         with pytest.raises(GridError, match="matching index"):
             build_system(h2plus, FieldPoint(600.0, 1e12), grid, matching_index=1)
 
-    def test_secant_budget_exhausted(self, h2plus, grid):
+    def test_secant_budget_exhausted(self, h2plus, grid, monkeypatch):
         system = build_system(h2plus, FieldPoint(600.0, 1e12), grid)
         # no root below the well floor, and the step cap keeps the iterate there
+        monkeypatch.setattr(floquet, "_MAX_STEP", 1e-6)
         with pytest.raises(ConvergenceError, match="secant"):
-            find_resonance(system, complex(-0.3), max_step=1e-6)
+            find_resonance(system, complex(-0.3))
 
-    def test_exhausted_budget_reports_last_step_and_residual(self, h2plus, grid):
+    def test_exhausted_budget_reports_last_step_and_residual(self, h2plus, grid,
+                                                             monkeypatch):
         system = build_system(h2plus, FieldPoint(600.0, 1e12), grid)
+        monkeypatch.setattr(floquet, "_MAX_STEP", 1e-6)
         with pytest.raises(ConvergenceError,
                            match=r"50 secant iterations \(last \|dE\| = .*, \|D\| = "):
-            find_resonance(system, complex(-0.3), max_step=1e-6)
+            find_resonance(system, complex(-0.3))
 
     def test_trust_radius_aborts_a_wandering_secant(self, h2plus, grid, free_levels):
         # 1e-3 hartree off the v = 12 root, the first step already leaves

@@ -6,6 +6,7 @@ import pytest
 
 from floqep import loops
 from floqep.errors import ContinuationError, ConvergenceError, ModelError
+from floqep.floquet import Resonance
 from floqep.loops import (
     LoopSpec,
     Trajectory,
@@ -207,6 +208,30 @@ class TestFollowSplits:
         assert phis[:40] == [s.phi for s in traj.samples[:40]]
         assert phis[40] == pytest.approx(0.5 * (phis[39] + phis[41]))
         assert phis[41:] == [s.phi for s in traj.samples[40:]]
+
+    def test_branch_jump_is_rejected_and_split(self, h2plus, traj,
+                                               monkeypatch):
+        # solve 40 lands 1e-3 hartree off its branch: the miss-ratio test
+        # rejects it, and the midpoint step goes on from the 39th angle
+        inner = loops.find_resonance
+        calls = [0]
+
+        def jump_once(*args, **kwargs):
+            calls[0] += 1
+            r = inner(*args, **kwargs)
+            if calls[0] == 40:
+                return Resonance(energy=r.energy + 1e-3, width=r.width)
+            return r
+
+        monkeypatch.setattr(loops, "find_resonance", jump_once)
+        split = follow_resonance(h2plus, WEAK_SPEC, 2)
+        assert len(split.samples) == len(traj.samples) + 1 == 102
+        assert split.v_end == traj.v_end == 2
+        phis = [s.phi for s in split.samples]
+        assert phis[40] == pytest.approx(0.5 * (phis[39] + phis[41]))
+        for s, ref in zip(split.samples[41:], traj.samples[40:]):
+            assert s.phi == ref.phi
+            assert abs(s.energy - ref.energy) < 1e-15
 
     def test_persistent_failure_keeps_the_partial_trajectory(self, h2plus,
                                                              monkeypatch):

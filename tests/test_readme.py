@@ -1,7 +1,13 @@
-"""The README's API quick start runs as written."""
+"""The README's API quick start runs as written, and its command lines
+parse."""
 
 import pathlib
 import re
+import shlex
+
+import pytest
+
+from floqep import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +26,37 @@ def test_quick_start_runs():
     for code in blocks:
         exec(compile(code, str(README), "exec"), namespace)
     assert (namespace["traj"].v_start, namespace["traj"].v_end) == (12, 13)
+
+
+def command_lines():
+    """The ``floqep`` lines of the README's ```sh blocks, with backslash
+    continuations joined and ``#`` comments stripped."""
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("floqep "):
+                lines.append(line)
+    return lines
+
+
+def test_command_lines_parse():
+    lines = command_lines()
+    assert len(lines) == 8
+    parser, _ = cli._build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
+
+
+def test_common_flags_exist_on_every_command():
+    sentence = re.split(r"\.\s", README.read_text().split("Common flags:", 1)[1], 1)[0]
+    flags = re.findall(r"`(--[\w.-]+)`", sentence)
+    assert "--model" in flags and "--grid.ecs-angle" in flags
+    _, subparsers = cli._build_parser()
+    assert len(subparsers) == 7
+    for name, sp in subparsers.items():
+        missing = [f for f in flags if f not in sp._option_string_actions]
+        assert not missing, f"{name} lacks common flag(s) {missing}"
