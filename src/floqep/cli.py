@@ -6,8 +6,9 @@ field point), ``resonance`` (single Floquet solve), ``ep-map`` /
 ``ep-refine`` (coalescence searches), ``loop`` (one parameter-plane
 traversal), and ``scenario`` (chained loops).
 
-Config files are plain ``key = value`` text; keys are the long option
-names without the leading dashes (``grid.n-points = 6001``).  Values
+Config files are plain ``key = value`` text read like model descriptors
+(``#`` starts a comment); keys are the long option names without the
+leading dashes (``grid.n-points = 6001``).  Values
 given as command-line flags win over config values.  The ``scenario``
 command additionally reads numbered loop sections (``loop1.lambda0``,
 ``loop1.v-from``, ...) that have no flag equivalent.
@@ -41,28 +42,14 @@ from .ep import (DIAGNOSTIC_INTENSITY, EPCandidate, EPRecord, approximate_eps,
 from .errors import ContinuationError, ConvergenceError, GridError, ModelError
 from .floquet import classify_resonance, ramp_resonance
 from .loops import LoopSpec, follow_resonance, run_scenario, trajectory_to_csv
-from .molecule import FieldPoint, RadialGrid, adiabatic_potentials, load_molecule
+from .molecule import (FieldPoint, RadialGrid, adiabatic_potentials, key_value,
+                       load_molecule, parse_key_values)
 from .svg import ep_map_plot, line_plot
 
 log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------- config
-
-def _read_config(path):
-    """Parse a key = value file; '#' lines and blanks are skipped."""
-    pairs = {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ModelError(f"{path}:{ln}: expected key = value")
-            key, _, val = line.partition("=")
-            pairs[key.strip()] = val.strip()
-    return pairs
-
 
 _LOOP_KEY = re.compile(r"loop(\d+)\.(.+)")
 
@@ -91,12 +78,12 @@ def _apply_config(subparser, pairs, path):
     """Install config values as parser defaults, so explicit flags win."""
     actions = {a.dest: a for a in subparser._actions}
     defaults = {}
-    for key, raw in pairs.items():
+    for key in pairs:
         dest = key.replace(".", "_").replace("-", "_")
         action = actions.get(dest)
         if action is None:
             raise ModelError(f"{path}: unknown config key {key!r}")
-        defaults[dest] = _coerce(action, raw)
+        defaults[dest] = key_value(pairs, key, lambda raw: _coerce(action, raw), path)
     subparser.set_defaults(**defaults)
 
 
@@ -396,15 +383,14 @@ def cmd_scenario(args, model, grid):
     loops = []
     for idx in sorted(args.loop_sections):
         sec = args.loop_sections[idx]
-        try:
-            spec = LoopSpec(lambda0=float(sec["lambda0"]),
-                            d_lambda=float(sec["d-lambda"]),
-                            i_max=float(sec["i-max"]),
-                            t_f=float(sec.get("t-f", args.t_f)),
-                            n_steps=int(sec.get("n-steps", args.n_steps)))
-            loops.append((spec, (int(sec["v-from"]), int(sec["v-to"]))))
-        except KeyError as ex:
-            raise ModelError(f"loop{idx} section is missing key {ex}")
+
+        def get(key, conv=float, default=None):
+            return key_value(sec, key, conv, f"loop{idx} section", default)
+
+        spec = LoopSpec(lambda0=get("lambda0"), d_lambda=get("d-lambda"),
+                        i_max=get("i-max"), t_f=get("t-f", default=args.t_f),
+                        n_steps=get("n-steps", int, args.n_steps))
+        loops.append((spec, (get("v-from", int), get("v-to", int))))
 
     report = run_scenario(model, loops, grid, n_blocks=args.n_blocks)
 
@@ -561,12 +547,16 @@ def _build_parser():
 
 def main(argv=None) -> int:
     parser, subparsers = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as ex:      # --help, --version or a bad command line
+        return ex.code
     try:
         loop_sections = {}
         if args.config:
-            plain, loop_sections = _split_loop_sections(
-                _read_config(args.config))
+            with open(args.config) as fh:
+                pairs = parse_key_values(fh.read(), args.config)
+            plain, loop_sections = _split_loop_sections(pairs)
             if loop_sections and args.command != "scenario":
                 raise ModelError("loop sections only apply to the scenario "
                                  "command")

@@ -100,25 +100,22 @@ class CoupledSystem:
 
         z = grid.contour()
         c = grid.corner_index
-        x = np.real(z[: c + 1])
+        x = np.real(z[:c])
         mass = model.reduced_mass
         omega = field.omega
         self.reference = vg.asymptote
 
-        curves = {"g": vg, "u": vu}
-        diag = []
-        for state, n in self.blocks:
-            crv = curves[state]
-            vals = np.empty(len(z), dtype=complex)
-            vals[: c + 1] = crv(x)
-            vals[c + 1:] = crv.eval_at(z[c + 1:])
-            diag.append(vals + n * omega - self.reference)
-        self._vdiag = diag
+        def on_contour(crv):
+            # the table before the corner; from the corner on, the analytic
+            # tail that the corner stencil differentiates
+            return np.concatenate([crv(x), crv.eval_at(z[c:])])
 
-        mu = np.empty(len(z), dtype=complex)
-        mu[: c + 1] = model.dipole(x)
-        mu[c + 1:] = model.dipole.eval_at(z[c + 1:])
-        self._woff = -mass * field.e0 * mu        # off-diagonal of W = 2M(V - E)
+        curves = {"g": vg, "u": vu}
+        vals = {state: on_contour(crv) for state, crv in curves.items()}
+        diag = [vals[state] + n * omega - self.reference for state, n in self.blocks]
+        self._vdiag = diag
+        # off-diagonal of W = 2M(V - E)
+        self._woff = -mass * field.e0 * on_contour(model.dipole)
 
         h = grid.step
         b = h * cmath.exp(1j * grid.ecs_angle)
@@ -137,7 +134,7 @@ class CoupledSystem:
         self.matching_index = matching_index
 
         self._check_resolution()
-        self._corner_data(curves, mass, omega)
+        self._corner_data(curves, z[c])
 
     def _check_resolution(self):
         c = self._corner
@@ -147,35 +144,28 @@ class CoupledSystem:
             raise GridError("grid too coarse for the de Broglie resolution "
                             "at this energy scale")
 
-    def _corner_data(self, curves, mass, omega):
-        """Energy-independent pieces of the corner stencil at the scaling radius."""
-        zc = complex(self.grid.points()[self._corner])
+    def _corner_data(self, curves, zc):
+        """Derivatives of W at the scaling corner zc, for the corner stencil."""
         nb = len(self.blocks)
-        v0 = np.zeros((nb, nb), dtype=complex)
-        v1 = np.zeros_like(v0)
-        v2 = np.zeros_like(v0)
-        for i, (state, n) in enumerate(self.blocks):
-            crv = curves[state]
-            v0[i, i] = crv.eval_at(zc) + n * omega - self.reference
-            v1[i, i] = crv.d1(zc)
-            v2[i, i] = crv.d2(zc)
-        mu0 = self.model.dipole.eval_at(zc)
-        mu1 = self.model.dipole.d1(zc)
-        mu2 = self.model.dipole.d2(zc)
+        v1 = np.zeros((nb, nb), dtype=complex)
+        v2 = np.zeros_like(v1)
+        for i, (state, _) in enumerate(self.blocks):
+            v1[i, i] = curves[state].d1(zc)
+            v2[i, i] = curves[state].d2(zc)
         coef = -0.5 * self.field.e0
+        mu1 = coef * self.model.dipole.d1(zc)
+        mu2 = coef * self.model.dipole.d2(zc)
         for i in range(nb - 1):
-            v0[i, i + 1] = v0[i + 1, i] = coef * mu0
-            v1[i, i + 1] = v1[i + 1, i] = coef * mu1
-            v2[i, i + 1] = v2[i + 1, i] = coef * mu2
-        self._w0c = 2.0 * mass * v0      # W(E) = _w0c - 2M E I
-        self._w1c = 2.0 * mass * v1
-        self._w2c = 2.0 * mass * v2
+            v1[i, i + 1] = v1[i + 1, i] = mu1
+            v2[i, i + 1] = v2[i + 1, i] = mu2
+        self._w1c = self._2m * v1
+        self._w2c = self._2m * v2
 
     # -- corner stencil ----------------------------------------------------
     def _corner_matrices(self, e: complex):
         a, b = self._h, self._b
         eye = np.eye(len(self.blocks), dtype=complex)
-        w0 = self._w0c - self._2m * e * eye
+        w0 = self._wmat(self._corner, e)
         pp = a * b * (b * b - a * a) / 6.0
         qq = a * b * (a ** 3 + b ** 3) / 24.0
         cp = a / (b * (a + b))
@@ -222,8 +212,8 @@ class CoupledSystem:
         psi = I is pinned next to the range (at lo - 1 when ``inward``, else at
         hi + 1), so ``rhs`` is minus that row's coupling to it; psi = 0 at the
         other end.  Band layout of ``zgbsv`` with kl = ku = nb + 1, one column
-        per (grid point, block); row c is the corner stencil, and its
-        neighbours see psi_c through the analytic corner W.
+        per (grid point, block).  Row c is the corner stencil; every other row
+        is the Numerov recursion, which reads W at c like at any point.
         """
         nb = len(self.blocks)
         kb = hi - lo + 1
@@ -231,11 +221,8 @@ class CoupledSystem:
         mid = 2 * kl                          # band row of the main diagonal
         p = self._p[lo: hi + 1]
         wd = self._2m * (np.stack([v[lo - 1: hi + 2] for v in self._vdiag]) - e)
-        wo = self._woff[lo - 1: hi + 2].copy()
+        wo = self._woff[lo - 1: hi + 2]
         c = self._corner
-        if lo - 1 <= c <= hi + 1:
-            wd[:, c - lo + 1] = np.diag(self._w0c) - self._2m * e
-            wo[c - lo + 1] = self._w0c[0, 1]
 
         band = np.zeros((3 * kl + 1, nb, kb), dtype=complex, order="F")
 

@@ -36,9 +36,11 @@ __all__ = [
     "adiabatic_potentials",
     "dressed_diabatic",
     "exp_repulsive",
+    "key_value",
     "linear_dipole",
     "load_molecule",
     "morse_curve",
+    "parse_key_values",
 ]
 
 
@@ -182,11 +184,12 @@ class TabulatedCurve:
     over the nodes at or beyond ``tail_start`` (asymptotic for a potential,
     linear for a dipole) extrapolates beyond the last node and provides
     values and derivatives at complex coordinates (only meaningful for
-    Re z >= continuation_start = tail_start).
+    Re z >= continuation_start = tail_start, which must not lie beyond the
+    scaling radius of the contour).
     """
 
-    def __init__(self, r: np.ndarray, v: np.ndarray, kind: str = "potential",
-                 tail_start: float | None = None):
+    def __init__(self, r: np.ndarray, v: np.ndarray, kind: str = "potential", *,
+                 tail_start: float):
         r = np.asarray(r, dtype=float)
         v = np.asarray(v, dtype=float)
         if r.ndim != 1 or r.shape != v.shape:
@@ -198,8 +201,6 @@ class TabulatedCurve:
         self.r_lo = float(r[0])
         self.r_hi = float(r[-1])
         self._spline = CubicSpline(r, v)
-        if tail_start is None:
-            tail_start = self.r_hi - 0.35 * (self.r_hi - self.r_lo)
         if kind == "potential":
             self._tail = _AsymptoticTail(r, v, tail_start)
             self.asymptote = float(self._tail.coef[0])
@@ -378,17 +379,36 @@ def _descriptor_fingerprint(pieces: list[bytes]) -> str:
     return h.hexdigest()[:16]
 
 
-def _parse_descriptor(text: str) -> dict[str, str]:
+def parse_key_values(text: str, source: str) -> dict[str, str]:
+    """The ``key = value`` lines of a descriptor or config file.
+
+    ``#`` starts a comment anywhere on a line, blank lines are skipped, and
+    keys are read in lower case.  ``source`` names the file in errors.
+    """
     out: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ModelError(f"descriptor line {ln}: expected 'key = value', got {raw!r}")
+            raise ModelError(f"{source}:{ln}: expected 'key = value', got {raw!r}")
         key, val = line.split("=", 1)
         out[key.strip().lower()] = val.strip()
     return out
+
+
+def key_value(pairs: dict[str, str], key: str, conv, where: str, default=None):
+    """conv(pairs[key]), or ``default`` when the key is absent; a missing key
+    without a default, or a value conv rejects, raises a ModelError that
+    names the key."""
+    if key not in pairs:
+        if default is None:
+            raise ModelError(f"{where}: missing required key {key!r}")
+        return default
+    try:
+        return conv(pairs[key])
+    except ValueError:
+        raise ModelError(f"{where}: bad value {pairs[key]!r} for key {key!r}") from None
 
 
 def _load_table(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -398,14 +418,6 @@ def _load_table(path: str) -> tuple[np.ndarray, np.ndarray]:
     if data.ndim != 2 or data.shape[1] < 2:
         raise ModelError(f"curve table must have two columns: {path}")
     return data[:, 0], data[:, 1]
-
-
-def _dipole_from_spec(value: str, base: str, tail_start: float | None = None):
-    parts = value.split()
-    if parts[0] == "linear":
-        return linear_dipole(float(parts[1]) if len(parts) > 1 else 0.5)
-    return TabulatedCurve(*_load_table(os.path.join(base, value)), kind="dipole",
-                          tail_start=tail_start)
 
 
 def load_molecule(descriptor: str) -> MoleculeModel:
@@ -426,35 +438,39 @@ def load_molecule(descriptor: str) -> MoleculeModel:
 
     with open(descriptor) as fh:
         text = fh.read()
-    spec = _parse_descriptor(text)
+    spec = parse_key_values(text, descriptor)
     base = os.path.dirname(os.path.abspath(descriptor))
+
+    def get(key, conv=float, default=None):
+        return key_value(spec, key, conv, descriptor, default)
+
     name = spec.get("name", os.path.splitext(os.path.basename(descriptor))[0])
-    mass = float(spec.get("mass", H2P_REDUCED_MASS))
+    mass = get("mass", default=H2P_REDUCED_MASS)
     kind = spec.get("kind", "tables")
     pieces = [text.encode()]
 
     if kind == "tables":
-        for key in ("vg", "vu"):
-            if key not in spec:
-                raise ModelError(f"descriptor missing required key {key!r}")
-        tail_start = float(spec["tail-start"]) if "tail-start" in spec else None
-        vg_path = os.path.join(base, spec["vg"])
-        vu_path = os.path.join(base, spec["vu"])
+        vg_path = os.path.join(base, get("vg", str))
+        vu_path = os.path.join(base, get("vu", str))
         rg, vg = _load_table(vg_path)
         ru, vu = _load_table(vu_path)
         for p in (vg_path, vu_path):
             with open(p, "rb") as fh:
                 pieces.append(fh.read())
-        vg_curve = TabulatedCurve(rg, vg, tail_start=tail_start)
-        vu_curve = TabulatedCurve(ru, vu, tail_start=tail_start)
-        dipole = _dipole_from_spec(spec.get("dipole", "linear 0.5"), base, tail_start)
+        # every table continues analytically from tail-start onto the contour
+        vg_curve = TabulatedCurve(rg, vg, tail_start=get("tail-start"))
+        vu_curve = TabulatedCurve(ru, vu, tail_start=get("tail-start"))
     elif kind == "analytic":
-        vg_curve = morse_curve(float(spec["morse-depth"]), float(spec["morse-width"]),
-                               float(spec["morse-r0"]))
-        vu_curve = exp_repulsive(float(spec["rep-amplitude"]), float(spec["rep-decay"]))
-        dipole = _dipole_from_spec(spec.get("dipole", "linear 0.5"), base)
+        vg_curve = morse_curve(get("morse-depth"), get("morse-width"), get("morse-r0"))
+        vu_curve = exp_repulsive(get("rep-amplitude"), get("rep-decay"))
     else:
         raise ModelError(f"unknown model kind {kind!r}")
+    mu = spec.get("dipole", "linear 0.5").split()
+    if mu[:1] == ["linear"]:
+        dipole = linear_dipole(float(mu[1]) if len(mu) > 1 else 0.5)
+    else:
+        dipole = TabulatedCurve(*_load_table(os.path.join(base, spec["dipole"])),
+                                kind="dipole", tail_start=get("tail-start"))
 
     model = MoleculeModel(name=name, vg_curve=vg_curve, vu_curve=vu_curve, dipole=dipole,
                           reduced_mass=mass, fingerprint=_descriptor_fingerprint(pieces),

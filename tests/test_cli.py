@@ -107,9 +107,26 @@ class TestConfigPrecedence:
         assert main(["levels", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
         assert "unknown config key 'jobs'" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as info:
-            main(["loop", "--jobs", "2", "--out", str(tmp_path)])
-        assert info.value.code == 2
+        assert main(["loop", "--jobs", "2", "--out", str(tmp_path)]) == 2
+
+    def test_version_returns_zero(self, capsys):
+        assert main(["--version"]) == 0
+        assert floqep.__version__ in capsys.readouterr().out
+
+    def test_bad_value_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid.n-points = abc\n")
+        assert main(["levels", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert "'grid.n-points'" in capsys.readouterr().err
+
+    def test_read_like_a_descriptor(self, tmp_path):
+        # inline comments, and keys in any case
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("V-Max = 3   # lowest four\n")
+        assert main(["levels", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        assert len(read_csv(tmp_path / "levels.csv")) == 4
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["levels", "--config", str(tmp_path / "nope.cfg"),
@@ -299,6 +316,14 @@ class TestScenarioCommand:
         assert main(["scenario", "--out", str(tmp_path),
                      "--config", str(cfg)]) == 2
         assert "loop sections" in capsys.readouterr().err
+
+    def test_bad_section_value_names_the_key(self, tmp_path, capsys):
+        cfg = scenario_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("loop1.lambda0 = 500",
+                                               "loop1.lambda0 = abc"))
+        assert main(["scenario", "--out", str(tmp_path),
+                     "--config", str(cfg)]) == 2
+        assert "'lambda0'" in capsys.readouterr().err
 
     def test_loop_sections_rejected_elsewhere(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -75,13 +75,7 @@ def dense_eigenvalue(system, e_about, niter=3):
     n, c, nb = grid.n_points, grid.corner_index, len(system.blocks)
     p = system._p
     two_m = 2.0 * system.model.reduced_mass
-    # rows c +- 1 read the corner point through the analytic W there, as
-    # the solver does: diag(_w0c) / 2M and _w0c[0, 1]
-    vd = [np.array(v, complex) for v in system._vdiag]
-    woff = np.array(system._woff, complex)
-    for blk in range(nb):
-        vd[blk][c] = system._w0c[blk, blk] / two_m
-    woff[c] = system._w0c[0, 1]
+    vd, woff = system._vdiag, system._woff
 
     def assemble(e0):
         big = (n - 2) * nb
@@ -227,6 +221,21 @@ class TestDenseOracle:
         ref = dense_eigenvalue(system, res.energy)
         assert abs(ref - res.energy) < 1e-12
         assert res.energy.imag < -1e-5   # genuinely decaying at this field
+
+    @pytest.mark.parametrize("n_blocks", [2, 4])
+    def test_matches_on_tabulated_curves(self, toy, n_blocks):
+        # the spline and the fitted tail of a table differ at the scaling
+        # corner (5e-6 hartree for g here), so the two agree only if both
+        # read the one stored value of W there
+        model, tgrid, levels = toy
+        r = np.linspace(0.3, 20.0, 400)
+        tables = dataclasses.replace(
+            model, vg_curve=TabulatedCurve(r, model.vg_curve(r), tail_start=6.0),
+            vu_curve=TabulatedCurve(r, model.vu_curve(r), tail_start=6.0))
+        system = build_system(tables, FieldPoint(600.0, 5e12), tgrid,
+                              n_blocks=n_blocks)
+        res = find_resonance(system, complex(levels[2].energy))
+        assert abs(dense_eigenvalue(system, res.energy) - res.energy) < 1e-12
 
     def test_determinant_vanishes_at_root(self, toy):
         model, tgrid, levels = toy

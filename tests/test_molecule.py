@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -65,11 +66,11 @@ class TestCurves:
     def test_tabulated_rejects_non_monotone(self):
         r = np.array([1.0, 2.0, 1.5, 3.0])
         with pytest.raises(ModelError, match="non-monotone abscissa"):
-            TabulatedCurve(r, np.zeros(4))
+            TabulatedCurve(r, np.zeros(4), tail_start=2.0)
 
     def test_tabulated_rejects_short_table(self):
         with pytest.raises(ModelError, match="at least 4 rows"):
-            TabulatedCurve(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
+            TabulatedCurve(np.array([1.0, 2.0]), np.array([0.0, 0.0]), tail_start=1.0)
 
     def test_complex_eval_guarded(self, h2plus):
         with pytest.raises(ModelError, match="continuation"):
@@ -106,6 +107,30 @@ class TestLoadMolecule:
         d = tmp_path / "broken.model"
         d.write_text("kind tables\n")
         with pytest.raises(ModelError, match="key = value"):
+            load_molecule(str(d))
+
+    def test_table_descriptor_needs_tail_start(self, h2plus, tmp_path):
+        # without it no tail would reach the scaling corner, and every
+        # solve would fail later
+        data = os.path.dirname(h2plus.origin)
+        d = tmp_path / "notail.model"
+        d.write_text(f"kind = tables\n"
+                     f"vg = {os.path.join(data, 'h2p_1ssg.tsv')}\n"
+                     f"vu = {os.path.join(data, 'h2p_2psu.tsv')}\n")
+        with pytest.raises(ModelError, match="'tail-start'"):
+            load_molecule(str(d))
+
+    @pytest.mark.parametrize("edit, key", [
+        (("morse-depth = 0.102635", "morse-depth = x"), "morse-depth"),
+        (("morse-width = 0.7082\n", ""), "morse-width"),
+    ], ids=["bad-value", "missing"])
+    def test_descriptor_errors_name_the_key(self, tmp_path, edit, key):
+        with open(load_molecule("h2plus-morse").origin) as fh:
+            text = fh.read()
+        assert edit[0] in text
+        d = tmp_path / "broken.model"
+        d.write_text(text.replace(*edit))
+        with pytest.raises(ModelError, match=f"'{key}'"):
             load_molecule(str(d))
 
     def test_fingerprint_stable(self, h2plus):

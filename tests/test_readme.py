@@ -1,5 +1,5 @@
-"""The README's API quick start runs as written, and its command lines
-parse."""
+"""The README's API quick start runs as written, its command lines parse,
+and its model descriptors load."""
 
 import pathlib
 import re
@@ -8,6 +8,8 @@ import shlex
 import pytest
 
 from floqep import cli
+from floqep.floquet import build_system
+from floqep.molecule import FieldPoint, load_molecule
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -60,3 +62,27 @@ def test_common_flags_exist_on_every_command():
     for name, sp in subparsers.items():
         missing = [f for f in flags if f not in sp._option_string_actions]
         assert not missing, f"{name} lacks common flag(s) {missing}"
+
+
+def descriptor_examples():
+    """The ```ini blocks of the "Model descriptors" section, in order."""
+    section = README.read_text().split("## Model descriptors", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return re.findall(r"```ini\n(.*?)```", section, re.S)
+
+
+def test_descriptor_examples_load(tmp_path):
+    # the bundled tables stand in for the example's ground.tsv / upper.tsv
+    data = pathlib.Path(cli.__file__).parent / "data"
+    blocks = descriptor_examples()
+    assert len(blocks) == 2
+    names = []
+    for i, text in enumerate(blocks):
+        text = (text.replace("ground.tsv", str(data / "h2p_1ssg.tsv"))
+                .replace("upper.tsv", str(data / "h2p_2psu.tsv")))
+        path = tmp_path / f"example{i}.model"
+        path.write_text(text)
+        model = load_molecule(str(path))
+        build_system(model, FieldPoint(600.0, 1e12))   # tails reach the corner
+        names.append(model.name)
+    assert names == ["mymol", "mymol-analytic"]
