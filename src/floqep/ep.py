@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .bound_states import adiabatic_levels, vibrational_levels
 from .errors import ConvergenceError, ModelError
@@ -205,15 +204,18 @@ def approximate_eps(model: MoleculeModel, v_range, vplus_range,
                 fa, fb = ev - ea, ev - eb
                 if fa == 0.0 or fa * fb > 0.0:
                     continue
-                # cubic spline over the table points around the sign change;
-                # it interpolates fa and fb, so it has a root in [la, lb]
-                # (at lb itself when fb is 0)
+                # the interpolating polynomial through the 2-4 table points
+                # around the sign change, which is the not-a-knot cubic
+                # spline through them; it interpolates fa and fb, so it has
+                # a real root in [la, lb] (at lb itself when fb is 0)
                 la, lb = grid_lam[k], grid_lam[k + 1]
                 near = [j for j in range(k - 1, k + 3)
                         if 0 <= j < len(grid_lam) and vp in table[j]]
-                spline = CubicSpline(grid_lam[near], [ev - table[j][vp] for j in near])
-                lam_c = float(next((r for r in spline.solve(0.0, extrapolate=False)
-                                    if la <= r <= lb), lb))
+                coef = np.linalg.solve(np.vander(grid_lam[near] - la, increasing=True),
+                                       [ev - table[j][vp] for j in near])
+                roots = [la + r.real for r in np.polynomial.polynomial.polyroots(coef)
+                         if r.imag == 0]
+                lam_c = float(min((r for r in roots if la <= r <= lb), default=lb))
                 rx = crossing_radius(model, lam_c)
                 if rx is None:
                     continue

@@ -11,10 +11,12 @@ ends then selects complex quasienergies E = E_R - i Gamma/2.
 Eigenvalues are roots of the matching determinant det(R_m - G_{m+1}^-1) of
 the renormalized Numerov ratio matrices at an interior point m; a dedicated
 one-point stencil bridges the real/rotated step mismatch at the scaling corner.
-For every block count the ratios come from two banded boundary-value solves
+For every block count the ratios come from two banded boundary-value problems
 of the Numerov equations, outward from the origin and inward from the contour
 end (the ratios are the block pivots of that banded LU; B. R. Johnson,
-J. Chem. Phys. 69, 4678 (1978)).
+J. Chem. Phys. 69, 4678 (1978)).  Both half bands are assembled once per
+system; a determinant adds the E terms and the corner row, factors each half
+once and reads the two psi it needs off the tails of the factors.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgbsv as _zgbsv
+from scipy.linalg.lapack import zgbtrf as _zgbtrf
+from scipy.linalg.lapack import zgbtrs as _zgbtrs
 
 from .errors import ConvergenceError, GridError, ModelError
 from .molecule import FieldPoint, MoleculeModel, RadialGrid
@@ -36,6 +39,7 @@ __all__ = [
     "build_system",
     "classify_resonance",
     "continuation",
+    "extrapolate",
     "find_resonance",
     "ramp_resonance",
     "step_character",
@@ -80,7 +84,8 @@ class CoupledSystem:
     """Discretized coupled problem, ready for determinant evaluation.
 
     Immutable after construction; precomputes all energy-independent grid
-    quantities so one determinant evaluation costs two banded solves.
+    quantities, the two half bands included, so one determinant evaluation
+    costs two banded factorizations and two short tail solves.
     """
 
     def __init__(self, model: MoleculeModel, field: FieldPoint, grid: RadialGrid,
@@ -135,6 +140,7 @@ class CoupledSystem:
 
         self._check_resolution()
         self._corner_data(curves, z[c])
+        self._assemble_halves()
 
     def _check_resolution(self):
         c = self._corner
@@ -188,41 +194,31 @@ class CoupledSystem:
         return w
 
     # -- determinant -------------------------------------------------------
-    def determinant(self, e: complex) -> complex:
-        """det(R_m - G_{m+1}^-1) at the matching point; zero at quasienergies.
+    def _half_band(self, lo: int, hi: int, reverse: bool):
+        """The Numerov rows lo..hi, less their E terms, for ``_pinned_psi``.
 
-        The Numerov rows 1..m (outward) and m+1..n-2 (inward) are solved for
-        psi with psi_{m+1} = I, resp. psi_m = I, pinned; the ratios follow from
-        the solutions next to the matching point.
-        """
-        m = self.matching_index
-        eye = np.eye(len(self.blocks), dtype=complex)
-        fm = eye - self._p[m] * self._wmat(m, e)
-        fm1 = eye - self._p[m + 1] * self._wmat(m + 1, e)
-        psi_out = self._solve_rows(e, 1, m, -fm1, inward=False)[-1]
-        psi_in = self._solve_rows(e, m + 1, len(self._p) - 2, -fm, inward=True)[0]
-        r = fm1 @ np.linalg.inv(fm @ psi_out)
-        g_inv = fm1 @ psi_in @ np.linalg.inv(fm)
-        return complex(np.linalg.det(r - g_inv))
+        Band layout of ``zgbtrf`` with kl = ku = nb + 1, one column per
+        (grid point, block); psi = 0 one point past each end.  ``reverse``
+        stores rows and unknowns in reverse order, which is the same
+        recursion on the reversed grid data.  Every row is the Numerov
+        recursion, which reads W at the corner like at any point;
+        ``determinant`` overwrites row c with the corner stencil.
 
-    def _solve_rows(self, e: complex, lo: int, hi: int, rhs: np.ndarray,
-                    inward: bool) -> np.ndarray:
-        """psi_lo..psi_hi, shape (hi - lo + 1, nb, nb), from the Numerov rows lo..hi.
-
-        psi = I is pinned next to the range (at lo - 1 when ``inward``, else at
-        hi + 1), so ``rhs`` is minus that row's coupling to it; psi = 0 at the
-        other end.  Band layout of ``zgbsv`` with kl = ku = nb + 1, one column
-        per (grid point, block).  Row c is the corner stencil; every other row
-        is the Numerov recursion, which reads W at c like at any point.
+        E enters only the diagonal of the diagonal blocks, on the band rows
+        mid - nb, mid and mid + nb (psi_{k+1}, psi_k, psi_{k-1}); those rows
+        are left empty.  Returns the band, their constant terms (1, -2, 1),
+        their factors p_k (1, 10, 1) of W, and the potential V at each
+        column's point, from which ``_pinned_psi`` forms 2M (V - E).
         """
         nb = len(self.blocks)
         kb = hi - lo + 1
         kl = nb + 1
         mid = 2 * kl                          # band row of the main diagonal
         p = self._p[lo: hi + 1]
-        wd = self._2m * (np.stack([v[lo - 1: hi + 2] for v in self._vdiag]) - e)
+        v = np.stack([vd[lo - 1: hi + 2] for vd in self._vdiag])
         wo = self._woff[lo - 1: hi + 2]
-        c = self._corner
+        if reverse:
+            p, v, wo = p[::-1], v[::-1, ::-1], wo[::-1]
 
         band = np.zeros((3 * kl + 1, nb, kb), dtype=complex, order="F")
 
@@ -236,39 +232,101 @@ class CoupledSystem:
             else:
                 band[row, j] = coef
 
-        # (I - p W_{k-1}) psi_{k-1} - (2 I + 10 p W_k) psi_k + (I - p W_{k+1}) psi_{k+1}
+        # (I - p W_{k-1}) psi_{k-1} - (2 I + 10 p W_k) psi_k + (I - p W_{k+1}) psi_{k+1}:
+        # off the diagonal of the blocks, W is the dipole coupling
+        off = [(dk, -cw * p * wo[1 + dk: kb + 1 + dk])
+               for dk, cw in ((-1, 1.0), (0, 10.0), (1, 1.0))]
         for i in range(nb):
-            put(-1, i, i, 1.0 - p * wd[i, :-2])
-            put(0, i, i, -2.0 - 10.0 * p * wd[i, 1:-1])
-            put(1, i, i, 1.0 - p * wd[i, 2:])
             for j in (i - 1, i + 1):
                 if 0 <= j < nb:
-                    put(-1, i, j, -p * wo[:-2])
-                    put(0, i, j, -10.0 * p * wo[1:-1])
-                    put(1, i, j, -p * wo[2:])
-        if lo <= c <= hi:
-            a_plus, a_minus, a_zero = self._corner_matrices(e)
-            kc = c - lo
-            for dk, blk in ((-1, a_minus), (0, -a_zero), (1, a_plus)):
-                if not 0 <= kc + dk < kb:
-                    continue
-                for i in range(nb):
-                    for j in range(nb):
-                        d = dk * nb + j - i
-                        if abs(d) <= kl:
-                            band[mid - d, j, kc + dk] = blk[i, j]
+                    for dk, coef in off:
+                        put(dk, i, j, coef)
+        # on it, (1, -2, 1) - p_k (1, 10, 1) 2M (V - E), which _pinned_psi
+        # writes at each E; one column per (grid point, block) as in the band
+        pp = np.concatenate([[0.0], p, [0.0]])
+        pw = np.repeat([pp[:-2], 10.0 * pp[1:-1], pp[2:]], nb, axis=1)
+        s = np.zeros(pw.shape)
+        s[0, nb:], s[1], s[2, :-nb] = 1.0, -2.0, 1.0
+        return (band.reshape(3 * kl + 1, nb * kb, order="F"), s, pw,
+                v[:, 1:-1].ravel(order="F"))
 
-        b = np.zeros((kb * nb, nb), dtype=complex, order="F")
-        if inward:
-            b[:nb] = rhs
-        else:
-            b[-nb:] = rhs
-        _, _, x, info = _zgbsv(kl, kl, band.reshape(3 * kl + 1, nb * kb, order="F"), b,
-                               overwrite_ab=1, overwrite_b=1)
+    def _assemble_halves(self):
+        """Both half bands of ``determinant``, once per system.
+
+        The inward half is stored reversed, so that in both halves the
+        pinned psi = I sits past the last row and the psi that the ratios
+        need is the last point.
+        """
+        nb = len(self.blocks)
+        kl = nb + 1
+        mid = 2 * kl
+        m, c = self.matching_index, self._corner
+        self._outward = self._half_band(1, m, reverse=False)
+        self._inward = self._half_band(m + 1, len(self._p) - 2, reverse=True)
+        self._erows = slice(mid - nb, mid + nb + 1, nb)
+        # the corner row c (m + 3 <= c, so in the inward half): blocks
+        # (a_minus, -a_zero, a_plus) at the points c - 1, c, c + 1, at the
+        # band positions of the reversed layout
+        dk, i, j = np.indices((3, nb, nb))
+        d = (dk - 1) * nb + j - i
+        self._corner_mask = np.abs(d) <= kl
+        col = (c - m - 2 + dk) * nb + j
+        self._corner_rows = (mid + d)[self._corner_mask]
+        self._corner_cols = (self._inward[0].shape[1] - 1 - col)[self._corner_mask]
+
+    def determinant(self, e: complex) -> complex:
+        """det(R_m - G_{m+1}^-1) at the matching point; zero at quasienergies.
+
+        The Numerov rows 1..m (outward) and m+1..n-2 (inward) are solved for
+        psi with psi_{m+1} = I, resp. psi_m = I, pinned; the ratios follow
+        from the solutions next to the matching point.  Each half is its
+        band from construction plus the E terms and, inward, the corner row
+        at e; it is factored once (``zgbtrf``), and psi next to the matching
+        point is read from a solve on the trailing columns of the factors.
+        """
+        m = self.matching_index
+        eye = np.eye(len(self.blocks), dtype=complex)
+        fm = eye - self._p[m] * self._wmat(m, e)
+        fm1 = eye - self._p[m + 1] * self._wmat(m + 1, e)
+        a_plus, a_minus, a_zero = self._corner_matrices(e)
+        corner = np.stack([a_minus, -a_zero, a_plus])[self._corner_mask]
+        psi_out = self._pinned_psi(self._outward, e, -fm1)
+        # the inward half is stored reversed: its right-hand side and
+        # solution come in reverse block order
+        psi_in = self._pinned_psi(self._inward, e, -fm[::-1], corner)[::-1]
+        r = fm1 @ np.linalg.inv(fm @ psi_out)
+        g_inv = fm1 @ psi_in @ np.linalg.inv(fm)
+        return complex(np.linalg.det(r - g_inv))
+
+    def _pinned_psi(self, half: tuple, e: complex, rhs: np.ndarray,
+                    corner: np.ndarray | None = None) -> np.ndarray:
+        """psi at the last point of one half band at e, for ``rhs`` (minus
+        the last rows' coupling to the pinned psi = I) on its last nb rows.
+
+        After ``zgbtrf``, those nb unknowns depend only on the trailing
+        nb + kl columns of the factors: a right-hand side that is zero above
+        the last nb rows stays zero through every earlier elimination step,
+        and the back substitution of the last unknowns reads only the
+        trailing block of U.
+        """
+        nb = len(self.blocks)
+        kl = nb + 1
+        band0, s, pw, v = half
+        band = band0.copy(order="F")
+        np.subtract(s, pw * (self._2m * (v - e)), out=band[self._erows])
+        if corner is not None:
+            band[self._corner_rows, self._corner_cols] = corner
+        lu, ipiv, info = _zgbtrf(band, kl, kl, overwrite_ab=1)
         if info != 0:
             raise ConvergenceError(f"singular banded Numerov solve (info {info})",
                                    last_value=e)
-        return x.reshape(kb, nb, nb)
+        n = lu.shape[1]
+        w = min(nb + kl, n)
+        b = np.zeros((w, nb), dtype=complex, order="F")
+        b[-nb:] = rhs
+        x, _ = _zgbtrs(lu[:, n - w:], kl, kl, b, ipiv[n - w:] - (n - w),
+                       overwrite_b=1)
+        return x[-nb:]
 
 
 def build_system(model: MoleculeModel, field: FieldPoint, grid: RadialGrid | None = None,
@@ -339,21 +397,37 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *, deflate: tuple = 
         iterations=_MAX_SECANT, last_value=e1)
 
 
+def extrapolate(points, t):
+    """Quadratic extrapolation of a branch through its last three (t, E)
+    points to t; linear from two points, constant from one."""
+    if len(points) >= 3:
+        (x0, y0), (x1, y1), (x2, y2) = points[-3:]
+        l0 = (t - x1) * (t - x2) / ((x0 - x1) * (x0 - x2))
+        l1 = (t - x0) * (t - x2) / ((x1 - x0) * (x1 - x2))
+        l2 = (t - x0) * (t - x1) / ((x2 - x0) * (x2 - x1))
+        return y0 * l0 + y1 * l1 + y2 * l2
+    if len(points) == 2:
+        (x0, y0), (x1, y1) = points[-2:]
+        return y1 + (y1 - y0) * (t - x1) / (x1 - x0)
+    return points[-1][1]
+
+
 def ramp_resonance(model: MoleculeModel, field: FieldPoint, e_start: complex,
                    steps: int, grid: RadialGrid | None = None,
                    n_blocks: int = 2) -> Resonance:
     """Continue a resonance from e_start up to the intensity of ``field``.
 
     The intensity rises in ``steps`` equal steps, I/steps .. I, at the
-    wavelength of ``field``; each solve is seeded by the previous root.
-    Returns the resonance found at ``field``.
+    wavelength of ``field``; each solve is seeded by ``extrapolate`` on the
+    ramp so far, which starts at (I = 0, e_start).  Returns the resonance
+    found at ``field``.
     """
-    e = complex(e_start)
+    points = [(0.0, complex(e_start))]
     for inten in np.linspace(field.intensity / steps, field.intensity, steps):
         system = build_system(model, FieldPoint(field.wavelength, inten), grid,
                               n_blocks=n_blocks)
-        res = find_resonance(system, e)
-        e = res.energy
+        res = find_resonance(system, extrapolate(points, inten))
+        points.append((inten, res.energy))
     return res
 
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from .bound_states import vibrational_levels
 from .errors import ContinuationError, ConvergenceError, ModelError
-from .floquet import build_system, classify_resonance, continuation, find_resonance
+from .floquet import (build_system, classify_resonance, continuation, extrapolate,
+                      find_resonance)
 from .molecule import FieldPoint, RadialGrid
 from .units import FS_PER_AU_TIME, INTENSITY_UNIT, width_to_invcm
 
@@ -128,20 +129,6 @@ class Trajectory:
         return self.p_nd[-1][1]
 
 
-def _extrapolate(points, phi):
-    """Quadratic extrapolation of the branch energy to a new angle."""
-    if len(points) >= 3:
-        (x0, y0), (x1, y1), (x2, y2) = points[-3:]
-        l0 = (phi - x1) * (phi - x2) / ((x0 - x1) * (x0 - x2))
-        l1 = (phi - x0) * (phi - x2) / ((x1 - x0) * (x1 - x2))
-        l2 = (phi - x0) * (phi - x1) / ((x2 - x0) * (x2 - x1))
-        return y0 * l0 + y1 * l1 + y2 * l2
-    if len(points) == 2:
-        (x0, y0), (x1, y1) = points[-2:]
-        return y1 + (y1 - y0) * (phi - x1) / (x1 - x0)
-    return points[-1][1]
-
-
 def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
                      n_blocks=2, reverse=False) -> Trajectory:
     """Transport the resonance that starts as level v_start around the loop.
@@ -185,7 +172,7 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
 
     def step(points, phi):
         nonlocal prev_miss
-        guess = _extrapolate(points, phi)
+        guess = extrapolate(points, phi)
         system = build_system(model, loop_point(spec, phi), grid,
                               n_blocks=n_blocks)
         energy = find_resonance(system, guess).energy

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv as _dgtsv
 
 from .errors import GridError, ModelError
 from .units import H2P_REDUCED_MASS, field_amplitude, photon_energy
@@ -177,6 +177,52 @@ class _LinearTail:
         return np.zeros_like(z)
 
 
+class _CubicSpline:
+    """Not-a-knot cubic spline through (x, y), n >= 4 nodes: values and the
+    first two derivatives, extrapolated by the end pieces.
+
+    The node slopes solve the tridiagonal system of C2 continuity at the
+    interior nodes and third-derivative continuity at the second and the
+    second-last node (C. de Boor, A Practical Guide to Splines, ch. IV).
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        n = len(x)
+        lower, diag, upper = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+        b = np.empty(n)
+        diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+        upper[1:] = dx[:-1]
+        lower[:-1] = dx[1:]
+        b[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        diag[0], upper[0] = dx[1], d
+        b[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        lower[-1], diag[-1] = d, dx[-2]
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        *_, s, info = _dgtsv(lower, diag, upper, b)
+        if info != 0:
+            raise ModelError(f"singular spline system (info {info})")
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        # piece k: c0 u^3 + c1 u^2 + c2 u + c3, u = r - x_k
+        self._c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+        self._x = x
+
+    def __call__(self, r, nu: int = 0):
+        """The nu-th derivative (nu = 0, 1, 2) at r."""
+        r = np.asarray(r, dtype=float)
+        k = np.clip(np.searchsorted(self._x, r, side="right") - 1, 0, len(self._x) - 2)
+        u = r - self._x[k]
+        c0, c1, c2, c3 = self._c[:, k]
+        if nu == 0:
+            return ((c0 * u + c1) * u + c2) * u + c3
+        if nu == 1:
+            return (3.0 * c0 * u + 2.0 * c1) * u + c2
+        return 6.0 * c0 * u + 2.0 * c1
+
+
 class TabulatedCurve:
     """Cubic-spline interpolant of a two-column (R, value) table.
 
@@ -200,7 +246,7 @@ class TabulatedCurve:
             raise ModelError("non-monotone abscissa in curve table")
         self.r_lo = float(r[0])
         self.r_hi = float(r[-1])
-        self._spline = CubicSpline(r, v)
+        self._spline = _CubicSpline(r, v)
         if kind == "potential":
             self._tail = _AsymptoticTail(r, v, tail_start)
             self.asymptote = float(self._tail.coef[0])
@@ -447,16 +493,14 @@ def load_molecule(descriptor: str) -> MoleculeModel:
     name = spec.get("name", os.path.splitext(os.path.basename(descriptor))[0])
     mass = get("mass", default=H2P_REDUCED_MASS)
     kind = spec.get("kind", "tables")
-    pieces = [text.encode()]
+    tables = []                    # files whose bytes enter the fingerprint
 
     if kind == "tables":
         vg_path = os.path.join(base, get("vg", str))
         vu_path = os.path.join(base, get("vu", str))
         rg, vg = _load_table(vg_path)
         ru, vu = _load_table(vu_path)
-        for p in (vg_path, vu_path):
-            with open(p, "rb") as fh:
-                pieces.append(fh.read())
+        tables += [vg_path, vu_path]
         # every table continues analytically from tail-start onto the contour
         vg_curve = TabulatedCurve(rg, vg, tail_start=get("tail-start"))
         vu_curve = TabulatedCurve(ru, vu, tail_start=get("tail-start"))
@@ -465,12 +509,20 @@ def load_molecule(descriptor: str) -> MoleculeModel:
         vu_curve = exp_repulsive(get("rep-amplitude"), get("rep-decay"))
     else:
         raise ModelError(f"unknown model kind {kind!r}")
-    mu = spec.get("dipole", "linear 0.5").split()
-    if mu[:1] == ["linear"]:
-        dipole = linear_dipole(float(mu[1]) if len(mu) > 1 else 0.5)
+    if spec.get("dipole", "linear").split()[:1] == ["linear"]:
+        # "linear [slope]", slope 0.5 when omitted
+        slope = get("dipole", lambda s: float(s.split()[1]) if len(s.split()) > 1 else 0.5,
+                    default=0.5)
+        dipole = linear_dipole(slope)
     else:
-        dipole = TabulatedCurve(*_load_table(os.path.join(base, spec["dipole"])),
-                                kind="dipole", tail_start=get("tail-start"))
+        mu_path = os.path.join(base, spec["dipole"])
+        dipole = TabulatedCurve(*_load_table(mu_path), kind="dipole",
+                                tail_start=get("tail-start"))
+        tables.append(mu_path)
+    pieces = [text.encode()]
+    for path in tables:
+        with open(path, "rb") as fh:
+            pieces.append(fh.read())
 
     model = MoleculeModel(name=name, vg_curve=vg_curve, vu_curve=vu_curve, dipole=dipole,
                           reduced_mass=mass, fingerprint=_descriptor_fingerprint(pieces),

@@ -8,6 +8,9 @@ engine test modules.
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -338,3 +341,22 @@ class TestErrorExits:
         assert main(["levels", "--model", "nosuch",
                      "--out", str(tmp_path)]) == 2
         assert "unknown model" in capsys.readouterr().err
+
+    def test_bad_dipole_slope(self, tmp_path, capsys):
+        with open(floqep.molecule.load_molecule("h2plus-morse").origin) as fh:
+            text = fh.read()
+        desc = tmp_path / "bad.model"
+        desc.write_text(text.replace("dipole = linear 0.5", "dipole = linear x"))
+        assert main(["levels", "--model", str(desc), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'dipole'" in err
+
+
+class TestStartUp:
+    def test_cli_import_leaves_out_scipy_interpolate(self):
+        # scipy.interpolate alone costs about 0.1 s and 23 MB at start-up
+        code = "import sys, floqep.cli; print('scipy.interpolate' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(floqep.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"

@@ -61,58 +61,75 @@ def toy():
     return model, tgrid, levels
 
 
-def dense_eigenvalue(system, e_about, niter=3):
-    """Independent oracle: the same discretization assembled as a dense
-    generalized eigenproblem A x = -E B x instead of matched ratio matrices.
+@pytest.fixture(scope="module")
+def toy_tables(toy):
+    """The toy model with both potentials replaced by tables of themselves."""
+    model, _, _ = toy
+    r = np.linspace(0.3, 20.0, 400)
+    return dataclasses.replace(
+        model, vg_curve=TabulatedCurve(r, model.vg_curve(r), tail_start=6.0),
+        vu_curve=TabulatedCurve(r, model.vu_curve(r), tail_start=6.0))
+
+
+def dense_pencil(system, e0):
+    """The Numerov rows 1..n-2 of ``system`` as a dense pencil (A, B),
+    T(E) = A + E B, one row and column per (grid point, block).
 
     Interior rows are the three-point recursion with the step factor of the
-    row's own contour segment; the corner row is linearized in E about the
-    current estimate and the whole pencil re-assembled a few times.  Each
-    pencil is solved for its eigenvalue nearest e_about by shift-invert
-    inverse iteration on a sparse LU (SuperLU) of A + e_about B.
+    row's own contour segment; the corner row is linearized in E about e0,
+    so A + e0 B is exact there too.
     """
     grid = system.grid
     n, c, nb = grid.n_points, grid.corner_index, len(system.blocks)
     p = system._p
     two_m = 2.0 * system.model.reduced_mass
     vd, woff = system._vdiag, system._woff
-
-    def assemble(e0):
-        big = (n - 2) * nb
-        a = np.zeros((big, big), complex)
-        b = np.zeros((big, big), complex)
-        idx = lambda k, blk: (k - 1) * nb + blk
-        ap, am, a0 = system._corner_matrices(e0)
-        de = 1e-6
-        ap2, am2, a02 = system._corner_matrices(e0 + de)
-        dap, dam, da0 = (ap2 - ap) / de, (am2 - am) / de, (a02 - a0) / de
-        for k in range(1, n - 1):
-            if k == c:
-                for blk in range(nb):
-                    r = idx(k, blk)
-                    for b2 in range(nb):
-                        a[r, idx(k + 1, b2)] += ap[blk, b2] - e0 * dap[blk, b2]
-                        b[r, idx(k + 1, b2)] += dap[blk, b2]
-                        a[r, idx(k - 1, b2)] += am[blk, b2] - e0 * dam[blk, b2]
-                        b[r, idx(k - 1, b2)] += dam[blk, b2]
-                        a[r, idx(k, b2)] -= a0[blk, b2] - e0 * da0[blk, b2]
-                        b[r, idx(k, b2)] -= da0[blk, b2]
-                continue
-            pr = p[k]      # step factor of the row's segment
+    big = (n - 2) * nb
+    a = np.zeros((big, big), complex)
+    b = np.zeros((big, big), complex)
+    idx = lambda k, blk: (k - 1) * nb + blk
+    ap, am, a0 = system._corner_matrices(e0)
+    de = 1e-6
+    ap2, am2, a02 = system._corner_matrices(e0 + de)
+    dap, dam, da0 = (ap2 - ap) / de, (am2 - am) / de, (a02 - a0) / de
+    for k in range(1, n - 1):
+        if k == c:
             for blk in range(nb):
                 r = idx(k, blk)
-                for kk, sign, w10 in ((k + 1, 1.0, 1.0), (k - 1, 1.0, 1.0),
-                                      (k, -2.0, 10.0)):
-                    if kk == 0 or kk == n - 1:
-                        continue
-                    a[r, idx(kk, blk)] += sign - w10 * pr * two_m * vd[blk][kk]
-                    b[r, idx(kk, blk)] += w10 * pr * two_m
-                    wo = w10 * pr * woff[kk]
-                    if blk + 1 < nb:
-                        a[r, idx(kk, blk + 1)] -= wo
-                    if blk - 1 >= 0:
-                        a[r, idx(kk, blk - 1)] -= wo
-        return a, b
+                for b2 in range(nb):
+                    a[r, idx(k + 1, b2)] += ap[blk, b2] - e0 * dap[blk, b2]
+                    b[r, idx(k + 1, b2)] += dap[blk, b2]
+                    a[r, idx(k - 1, b2)] += am[blk, b2] - e0 * dam[blk, b2]
+                    b[r, idx(k - 1, b2)] += dam[blk, b2]
+                    a[r, idx(k, b2)] -= a0[blk, b2] - e0 * da0[blk, b2]
+                    b[r, idx(k, b2)] -= da0[blk, b2]
+            continue
+        pr = p[k]      # step factor of the row's segment
+        for blk in range(nb):
+            r = idx(k, blk)
+            for kk, sign, w10 in ((k + 1, 1.0, 1.0), (k - 1, 1.0, 1.0),
+                                  (k, -2.0, 10.0)):
+                if kk == 0 or kk == n - 1:
+                    continue
+                a[r, idx(kk, blk)] += sign - w10 * pr * two_m * vd[blk][kk]
+                b[r, idx(kk, blk)] += w10 * pr * two_m
+                wo = w10 * pr * woff[kk]
+                if blk + 1 < nb:
+                    a[r, idx(kk, blk + 1)] -= wo
+                if blk - 1 >= 0:
+                    a[r, idx(kk, blk - 1)] -= wo
+    return a, b
+
+
+def dense_eigenvalue(system, e_about, niter=3):
+    """Independent oracle: the same discretization assembled as a dense
+    generalized eigenproblem A x = -E B x instead of matched ratio matrices.
+
+    The corner row is linearized in E about the current estimate and the
+    whole pencil re-assembled a few times.  Each pencil is solved for its
+    eigenvalue nearest e_about by shift-invert inverse iteration on a
+    sparse LU (SuperLU) of A + e_about B.
+    """
 
     def nearest(a, b):
         # A x = -E B x  <=>  (A + s B)^-1 B x = x / (s - E), s = e_about
@@ -129,8 +146,29 @@ def dense_eigenvalue(system, e_about, niter=3):
 
     e = e_about
     for _ in range(niter):
-        e = nearest(*assemble(e))
+        e = nearest(*dense_pencil(system, e))
     return e
+
+
+def dense_determinant(system, e):
+    """Independent reference for ``CoupledSystem.determinant``: the pinned
+    half systems of T(e) from ``dense_pencil`` solved by dense LU, and
+    det(R_m - G_{m+1}^-1) formed from their solutions next to the matching
+    point."""
+    a, b = dense_pencil(system, e)
+    t = a + e * b
+    del a, b
+    nb, m = len(system.blocks), system.matching_index
+    pt = lambda k: slice((k - 1) * nb, k * nb)        # grid point k
+    out, inward = slice(0, m * nb), slice(m * nb, None)
+    # outward: rows 1..m with psi_{m+1} = I; inward: rows m+1.. with psi_m = I
+    psi_out = np.linalg.solve(t[out, out], -t[out, pt(m + 1)])[-nb:]
+    psi_in = np.linalg.solve(t[inward, inward], -t[inward, pt(m)])[:nb]
+    # the couplings across the matching point, I - p W_{m+1} and I - p W_m
+    fm1, fm = t[pt(m), pt(m + 1)], t[pt(m + 1), pt(m)]
+    r = fm1 @ np.linalg.inv(fm @ psi_out)
+    g_inv = fm1 @ psi_in @ np.linalg.inv(fm)
+    return complex(np.linalg.det(r - g_inv))
 
 
 class TestBlockStructure:
@@ -223,19 +261,29 @@ class TestDenseOracle:
         assert res.energy.imag < -1e-5   # genuinely decaying at this field
 
     @pytest.mark.parametrize("n_blocks", [2, 4])
-    def test_matches_on_tabulated_curves(self, toy, n_blocks):
+    def test_matches_on_tabulated_curves(self, toy, toy_tables, n_blocks):
         # the spline and the fitted tail of a table differ at the scaling
         # corner (5e-6 hartree for g here), so the two agree only if both
         # read the one stored value of W there
-        model, tgrid, levels = toy
-        r = np.linspace(0.3, 20.0, 400)
-        tables = dataclasses.replace(
-            model, vg_curve=TabulatedCurve(r, model.vg_curve(r), tail_start=6.0),
-            vu_curve=TabulatedCurve(r, model.vu_curve(r), tail_start=6.0))
-        system = build_system(tables, FieldPoint(600.0, 5e12), tgrid,
+        _, tgrid, levels = toy
+        system = build_system(toy_tables, FieldPoint(600.0, 5e12), tgrid,
                               n_blocks=n_blocks)
         res = find_resonance(system, complex(levels[2].energy))
         assert abs(dense_eigenvalue(system, res.energy) - res.energy) < 1e-12
+
+    @pytest.mark.parametrize("tabulated", [False, True], ids=["analytic", "tables"])
+    @pytest.mark.parametrize("n_blocks", [2, 4])
+    def test_determinant_matches_dense_halves(self, toy, toy_tables, n_blocks,
+                                              tabulated):
+        # the banded factor-tail read against dense solves of the same two
+        # half systems, on a circle of 8 energies around the v = 2 root
+        model, tgrid, levels = toy
+        system = build_system(toy_tables if tabulated else model,
+                              FieldPoint(600.0, 5e12), tgrid, n_blocks=n_blocks)
+        for k in range(8):
+            e = levels[2].energy + 3e-3 * cmath.exp(2j * cmath.pi * (k + 0.5) / 8)
+            ref = dense_determinant(system, e)
+            assert abs(system.determinant(e) - ref) <= 1e-9 * abs(ref)
 
     def test_determinant_vanishes_at_root(self, toy):
         model, tgrid, levels = toy
@@ -283,6 +331,25 @@ class TestBandedDeterminant:
         res = ramp_resonance(h2plus, FieldPoint(788.2, 1e12),
                              free_levels[12].energy, 8, grid, n_blocks=4)
         assert abs(res.energy - (-0.012309094124283 - 9.600296206e-6j)) < 1e-10
+
+    def test_extrapolated_ramp_saves_determinants(self, h2plus, grid, free_levels,
+                                                  monkeypatch):
+        # the same 8 solves, seeded by the previous root instead of the
+        # ramp's extrapolation, land on the same root with more determinants
+        calls = []
+        det = floquet.CoupledSystem.determinant
+        monkeypatch.setattr(floquet.CoupledSystem, "determinant",
+                            lambda self, e: calls.append(e) or det(self, e))
+        field = FieldPoint(788.2, 1e12)
+        e = complex(free_levels[12].energy)
+        ramped = ramp_resonance(h2plus, field, e, 8, grid, n_blocks=4)
+        n_ramp = len(calls)
+        for inten in np.linspace(field.intensity / 8, field.intensity, 8):
+            system = build_system(h2plus, FieldPoint(field.wavelength, inten), grid,
+                                  n_blocks=4)
+            e = find_resonance(system, e).energy
+        assert abs(ramped.energy - e) < 1e-12
+        assert n_ramp < len(calls) - n_ramp
 
 
 class CountingSystem:

@@ -72,6 +72,19 @@ class TestCurves:
         with pytest.raises(ModelError, match="at least 4 rows"):
             TabulatedCurve(np.array([1.0, 2.0]), np.array([0.0, 0.0]), tail_start=1.0)
 
+    @pytest.mark.parametrize("table", ["h2p_1ssg.tsv", "h2p_2psu.tsv"])
+    def test_spline_matches_scipy_not_a_knot(self, h2plus, table):
+        # the package's own spline; scipy's CubicSpline is only the reference
+        from scipy.interpolate import CubicSpline
+        r, v = np.loadtxt(os.path.join(os.path.dirname(h2plus.origin), table)).T
+        crv = TabulatedCurve(r, v, tail_start=12.0)
+        ref = CubicSpline(r, v)
+        at = np.concatenate([r, 0.5 * (r[1:] + r[:-1]),
+                             np.linspace(r[0], r[-1], 3001)])
+        for got, nu in ((crv(at), 0), (crv.d1(at), 1), (crv.d2(at), 2)):
+            want = ref(at, nu)
+            assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
     def test_complex_eval_guarded(self, h2plus):
         with pytest.raises(ModelError, match="continuation"):
             h2plus.vg_curve.eval_at(3.0 + 0.5j)
@@ -123,7 +136,8 @@ class TestLoadMolecule:
     @pytest.mark.parametrize("edit, key", [
         (("morse-depth = 0.102635", "morse-depth = x"), "morse-depth"),
         (("morse-width = 0.7082\n", ""), "morse-width"),
-    ], ids=["bad-value", "missing"])
+        (("dipole = linear 0.5", "dipole = linear x"), "dipole"),
+    ], ids=["bad-value", "missing", "bad-dipole-slope"])
     def test_descriptor_errors_name_the_key(self, tmp_path, edit, key):
         with open(load_molecule("h2plus-morse").origin) as fh:
             text = fh.read()
@@ -132,6 +146,20 @@ class TestLoadMolecule:
         d.write_text(text.replace(*edit))
         with pytest.raises(ModelError, match=f"'{key}'"):
             load_molecule(str(d))
+
+    def test_tabulated_dipole_enters_the_fingerprint(self, h2plus, tmp_path):
+        # an edited dipole table must change every cache key of the model
+        data = os.path.dirname(h2plus.origin)
+        r = np.loadtxt(os.path.join(data, "h2p_1ssg.tsv"))[:, 0]
+        desc = tmp_path / "tabmu.model"
+        desc.write_text(f"vg = {os.path.join(data, 'h2p_1ssg.tsv')}\n"
+                        f"vu = {os.path.join(data, 'h2p_2psu.tsv')}\n"
+                        "dipole = mu.tsv\ntail-start = 12\n")
+        np.savetxt(tmp_path / "mu.tsv", np.column_stack([r, 0.5 * r]))
+        before = load_molecule(str(desc)).fingerprint
+        assert load_molecule(str(desc)).fingerprint == before
+        np.savetxt(tmp_path / "mu.tsv", np.column_stack([r, 0.51 * r]))
+        assert load_molecule(str(desc)).fingerprint != before
 
     def test_fingerprint_stable(self, h2plus):
         again = load_molecule("h2plus")
