@@ -14,6 +14,20 @@ import hashlib
 import json
 import os
 
+from .errors import ModelError
+
+
+def _read(path: str) -> dict:
+    """The records of a cache file; ModelError if it holds no JSON object."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except ValueError as ex:          # bad JSON or bad UTF-8
+        raise ModelError(f"{path}: not a solve cache ({ex})") from None
+    if not isinstance(data, dict):
+        raise ModelError(f"{path}: not a solve cache (no JSON object)")
+    return data
+
 
 class SolveCache:
     """Dict-like store persisted as one JSON file; with no path it lives in
@@ -23,8 +37,7 @@ class SolveCache:
         self.path = str(path) if path else None
         self._dirty = False
         if self.path and os.path.exists(self.path):
-            with open(self.path) as fh:
-                self._data = json.load(fh)
+            self._data = _read(self.path)
         else:
             self._data = {}
 
@@ -61,8 +74,7 @@ class SolveCache:
         if not (self._dirty and self.path):
             return
         if os.path.exists(self.path):
-            with open(self.path) as fh:
-                self._data = {**json.load(fh), **self._data}
+            self._data = {**_read(self.path), **self._data}
         tmp = f"{self.path}.{os.getpid()}.tmp"
         with open(tmp, "w") as fh:
             json.dump(self._data, fh, indent=1, sort_keys=True)

@@ -252,10 +252,10 @@ def _refine_worker(args):
 
 def cmd_ep_map(args, model, grid):
     """Locate and refine every coalescence seeded inside the window."""
+    cache = SolveCache(args.cache)
     lo, hi = args.window
     cands = approximate_eps(model, range(args.v_max + 1),
                             range(args.vplus_max + 1), (lo, hi))
-    cache = SolveCache(args.cache)
     records, todo = [], []
     for cand in cands:
         key = _ep_key(model, grid, args, cand)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .bound_states import adiabatic_levels, vibrational_levels
 from .errors import ConvergenceError, ModelError
-from .floquet import build_system, continuation, find_resonance, step_character
+from .floquet import (build_system, continuation, extrapolate, find_resonance,
+                      step_character)
 from .molecule import FieldPoint, MoleculeModel, RadialGrid
 from .units import INTENSITY_UNIT
 
@@ -38,8 +39,6 @@ _GAP_TOL = 1e-8
 _NEWTON_ITERS = 25
 _E_STEP = 1e-5         # hartree, stencil of D' and D''
 _MAX_JUMP = 5e-4       # hartree, largest move of either root in one walk step
-_TRUST_JUMPS = 4.0     # pair-solve trust radius around the guess, in _MAX_JUMP
-_FIT_POINTS = 6        # recent walk points in each root's linear prediction
 _D_LAMBDA = 1e-3       # nm, forward-difference step of the Newton Jacobian
 _D_INTENSITY = 1e-5    # 10^13 W/cm^2, likewise
 _SCAN_STEP = 4.0       # nm, wavelength spacing of the candidate level table
@@ -129,29 +128,6 @@ def cplus_minimum_wavelength(model: MoleculeModel) -> float:
     return PHOTON_HARTREE_NM / gap
 
 
-def crossing_radius(model: MoleculeModel, wavelength: float) -> float | None:
-    """Radius where the one-photon dressed curves cross, or None."""
-    from .units import photon_energy
-
-    omega = photon_energy(wavelength)
-    r = np.linspace(0.3, 20.0, 4001)
-    f = model.vu_curve.eval_at(r) - model.vg_curve.eval_at(r) - omega
-    sign = np.signbit(f)
-    flips = np.nonzero(sign[1:] != sign[:-1])[0]
-    if len(flips) == 0:
-        return None
-    k = flips[0]
-    lo, hi = r[k], r[k + 1]
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        fm = (model.vu_curve.eval_at(mid) - model.vg_curve.eval_at(mid) - omega)
-        if (fm > 0) == (f[k] > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def approximate_eps(model: MoleculeModel, v_range, vplus_range,
                     lambda_window: tuple[float, float]) -> list[EPCandidate]:
     """Coarse EP wavelengths from crossings of the two level families.
@@ -186,8 +162,9 @@ def approximate_eps(model: MoleculeModel, v_range, vplus_range,
             return {}
         return {l.v: l.energy for l in ls}
 
-    grid_lam = np.arange(lo, hi + _SCAN_STEP, _SCAN_STEP)
-    grid_lam[-1] = min(grid_lam[-1], hi)
+    # clipped to hi, the last two points can coincide (np.vander of the
+    # crossing's table points is then singular), so keep each one once
+    grid_lam = np.unique(np.minimum(np.arange(lo, hi + _SCAN_STEP, _SCAN_STEP), hi))
     table = [well_levels(lam) for lam in grid_lam]
 
     out = []
@@ -216,9 +193,6 @@ def approximate_eps(model: MoleculeModel, v_range, vplus_range,
                 roots = [la + r.real for r in np.polynomial.polynomial.polyroots(coef)
                          if r.imag == 0]
                 lam_c = float(min((r for r in roots if la <= r <= lb), default=lb))
-                rx = crossing_radius(model, lam_c)
-                if rx is None:
-                    continue
                 out.append(EPCandidate(v=v, v_partner=v + 1, v_plus=vp,
                                        lambda_guess=lam_c))
                 break
@@ -229,14 +203,12 @@ def approximate_eps(model: MoleculeModel, v_range, vplus_range,
 def _walk_pair(model, pair, lam, intensities, grid, n_blocks):
     """Continue two labelled resonances up an intensity scan at fixed lam.
 
-    Starts from the pair's field-free energies at I = 0 and yields the pair
-    at each of ``intensities`` in turn, on the step-halving driver
-    ``continuation``.  A step fails when a solve fails, the two roots
-    cannot be assigned unambiguously, or a root moves farther than
-    _MAX_JUMP.  A solve fails as soon as its secant strays _TRUST_JUMPS
-    jumps from the prediction: predictions sit close to the last point, so
-    a root that far off would fail the jump test anyway.  Predictions are a
-    linear fit in I per root over the last _FIT_POINTS accepted points.
+    Starts from the pair's field-free energies at I = 0 and yields the pair,
+    a length-2 array, at each of ``intensities`` in turn, on the
+    step-halving driver ``continuation``.  Each step is seeded by
+    ``extrapolate`` on the walk so far.  A step fails when a solve fails,
+    the two roots cannot be assigned unambiguously, or a root moves farther
+    than _MAX_JUMP.
     """
     v, w = pair
     grid = grid if grid is not None else RadialGrid()
@@ -246,36 +218,26 @@ def _walk_pair(model, pair, lam, intensities, grid, n_blocks):
     if w >= len(levels):
         raise ModelError(f"pair ({v}, {w}) exceeds the "
                          f"{len(levels)} bound levels")
-    radius = _TRUST_JUMPS * _MAX_JUMP
 
     def step(points, inten):
-        guess = points[-1][1]
-        if len(points) >= 3:
-            recent = points[-_FIT_POINTS:]
-            di = np.subtract([i for i, _ in recent], inten)
-            a = np.column_stack([np.ones_like(di), di])
-            coef = np.linalg.lstsq(a, np.array([e for _, e in recent]),
-                                   rcond=None)[0]
-            guess = tuple(coef[0])
+        guess = extrapolate(points, inten)
         system = build_system(model, FieldPoint(lam, inten * INTENSITY_UNIT),
                               grid, n_blocks=n_blocks)
-        r1 = find_resonance(system, guess[0], radius=radius)
-        r2 = find_resonance(system, guess[1], deflate=(r1.energy,), radius=radius)
-        found = (r1.energy, r2.energy)
+        r1 = find_resonance(system, guess[0])
+        r2 = find_resonance(system, guess[1], deflate=(r1.energy,))
+        found = np.array([r1.energy, r2.energy])
         # assign found roots to predicted branches by summed distance
-        if (abs(found[0] - guess[1]) + abs(found[1] - guess[0])
-                < abs(found[0] - guess[0]) + abs(found[1] - guess[1])):
-            found = (found[1], found[0])
+        if np.abs(found[::-1] - guess).sum() < np.abs(found - guess).sum():
+            found = found[::-1]
         if abs(found[0] - found[1]) < 1e-13:
             raise ConvergenceError("resonances lost identity during "
                                    "continuation", last_value=found[0])
-        last = points[-1][1]
-        if max(abs(found[0] - last[0]), abs(found[1] - last[1])) > _MAX_JUMP:
+        if np.abs(found - points[-1][1]).max() > _MAX_JUMP:
             raise ConvergenceError("branch moved too far in one step",
                                    last_value=found[0])
         return found
 
-    start = (complex(levels[v].energy), complex(levels[w].energy))
+    start = np.array([levels[v].energy, levels[w].energy], dtype=complex)
     yield from continuation([(0.0, start)], intensities, step)
 
 
@@ -305,7 +267,7 @@ def find_double_root(det_at, e0, lam0, i0, radius):
     falls below 1e-8 within 25 steps.  Returns (lambda, intensity, E, gap).
     """
     e, lam, inten = complex(e0), float(lam0), float(i0)
-    for _ in range(_NEWTON_ITERS):
+    for it in range(1, _NEWTON_ITERS + 1):
         d0, d1, d2 = _taylor(det_at(lam, inten), e, _E_STEP)
         gap = _quadratic_gap(d0, d1, d2)
         if gap < _GAP_TOL:
@@ -327,8 +289,8 @@ def find_double_root(det_at, e0, lam0, i0, radius):
         inten = max(inten + float(np.clip(dx[3], -0.04, 0.04)), 1e-4)
         if abs(e - e0) > radius:
             raise ConvergenceError(
-                f"Newton iterate left the seed pair: |E - E0| = "
-                f"{abs(e - e0):.3e} > half-gap {radius:.3e}", last_value=e)
+                f"Newton iterate left the seed pair at step {it} "
+                f"(half-gap {radius:.3e})", last_value=e)
     raise ConvergenceError(f"double-root Newton stalled with gap {gap:.3e} "
                            f"after {_NEWTON_ITERS} iterations",
                            iterations=_NEWTON_ITERS, last_value=e)

@@ -337,8 +337,8 @@ def build_system(model: MoleculeModel, field: FieldPoint, grid: RadialGrid | Non
     return CoupledSystem(model, field, grid, n_blocks, matching_index)
 
 
-def find_resonance(system: CoupledSystem, e_guess: complex, *, deflate: tuple = (),
-                   radius: float = math.inf) -> Resonance:
+def find_resonance(system: CoupledSystem, e_guess: complex, *,
+                   deflate: tuple = ()) -> Resonance:
     """Secant iteration in the complex plane from e_guess to one quasienergy.
 
     ``deflate`` divides out already-known roots so a nearby second root can be
@@ -346,8 +346,7 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *, deflate: tuple = 
     step falls below 1e-12, or once a step below 1e-8 fails to halve the one
     before it: the secant converges superlinearly there, so each step is far
     below half the previous one, and a step that does not halve is the
-    rounding noise of the determinant, not progress.  An iterate farther
-    than ``radius`` from e_guess fails at once.
+    rounding noise of the determinant, not progress.
     """
 
     def f(e: complex) -> complex:
@@ -376,10 +375,6 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *, deflate: tuple = 
             step *= _MAX_STEP / size
         e0, f0 = e1, f1
         e1 = e1 + step
-        if abs(e1 - e_guess) > radius:
-            raise ConvergenceError(
-                f"secant left its trust radius: |E - guess| = "
-                f"{abs(e1 - e_guess):.3e} > {radius:.3e}", last_value=e1)
         f1 = f(e1)
         floor = 0.5 * last <= size < _FLOOR_STEP
         last = size
@@ -422,6 +417,8 @@ def ramp_resonance(model: MoleculeModel, field: FieldPoint, e_start: complex,
     ramp so far, which starts at (I = 0, e_start).  Returns the resonance
     found at ``field``.
     """
+    if steps < 1:
+        raise ModelError(f"steps must be at least 1, got {steps}")
     points = [(0.0, complex(e_start))]
     for inten in np.linspace(field.intensity / steps, field.intensity, steps):
         system = build_system(model, FieldPoint(field.wavelength, inten), grid,

@@ -1,4 +1,7 @@
+import pytest
+
 from floqep.cache import SolveCache
+from floqep.errors import ModelError
 
 
 class TestSolveCache:
@@ -23,3 +26,17 @@ class TestSolveCache:
         store.flush()
         assert store.get("a") == {"x": 1}
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ['{"a": ', "[1, 2]"])
+    def test_malformed_file_names_its_path(self, tmp_path, text):
+        path = tmp_path / "cache.json"
+        path.write_text(text)
+        with pytest.raises(ModelError, match="cache.json: not a solve cache"):
+            SolveCache(path)
+        # a file spoiled after the store was opened fails at flush
+        path.write_text("{}")
+        store = SolveCache(path)
+        store.put("a", {"x": 1})
+        path.write_text(text)
+        with pytest.raises(ModelError, match="cache.json: not a solve cache"):
+            store.flush()

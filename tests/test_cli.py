@@ -351,6 +351,25 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'dipole'" in err
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_resonance_steps_below_one(self, tmp_path, capsys, steps):
+        assert main(["resonance", "--wavelength", "788.2", "--intensity", "1e12",
+                     "--v", "12", "--steps", steps, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "steps" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["resonance", "--wavelength", "788.2", "--intensity", "1e12", "--v", "12"],
+        ["ep-refine", "--v", "12", "--v-plus", "2", "--lambda-guess", "635.95"],
+        ["ep-map"]])
+    def test_malformed_cache_file(self, tmp_path, capsys, argv):
+        # read before any solve, so the error comes at once
+        cache = tmp_path / "cache.json"
+        cache.write_text('{"a": ')
+        assert main([*argv, "--cache", str(cache), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(cache) in err
+
 
 class TestStartUp:
     def test_cli_import_leaves_out_scipy_interpolate(self):

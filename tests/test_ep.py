@@ -12,7 +12,6 @@ from floqep.ep import (
     approximate_eps,
     cluster_bands,
     cplus_minimum_wavelength,
-    crossing_radius,
     find_double_root,
     records_from_csv,
     records_to_csv,
@@ -21,14 +20,7 @@ from floqep.ep import (
 )
 from floqep.errors import ConvergenceError, ModelError
 from floqep.floquet import CoupledSystem, build_system, find_resonance
-from floqep.molecule import (
-    FieldPoint,
-    MoleculeModel,
-    exp_repulsive,
-    linear_dipole,
-    load_molecule,
-    morse_curve,
-)
+from floqep.molecule import FieldPoint, load_molecule
 from floqep.units import INTENSITY_UNIT
 
 
@@ -77,17 +69,6 @@ class TestCandidateScan:
     def test_minimum_wavelength(self, h2plus):
         assert cplus_minimum_wavelength(h2plus) == pytest.approx(104.45, abs=0.5)
 
-    def test_crossing_radius_softens_outward(self, h2plus):
-        assert crossing_radius(h2plus, 300.0) == pytest.approx(3.440, abs=0.05)
-        assert crossing_radius(h2plus, 600.0) == pytest.approx(4.375, abs=0.05)
-        assert crossing_radius(h2plus, 900.0) > crossing_radius(h2plus, 600.0)
-
-    def test_no_crossing_for_hard_photon(self):
-        toy = MoleculeModel(name="toy", vg_curve=morse_curve(0.1, 0.7, 2.0),
-                            vu_curve=exp_repulsive(2.0, 0.9),
-                            dipole=linear_dipole(0.5), reduced_mass=50.0)
-        assert crossing_radius(toy, 30.0) is None
-
     def test_window_below_threshold_is_empty(self, h2plus):
         assert approximate_eps(h2plus, range(12, 14), range(4), (60.0, 100.0)) == []
 
@@ -97,6 +78,16 @@ class TestCandidateScan:
         assert set(got) == {(12, 13, 2), (13, 14, 3)}
         assert got[(12, 13, 2)] == pytest.approx(635.95, abs=0.5)
         assert got[(13, 14, 3)] == pytest.approx(602.58, abs=0.5)
+
+    def test_window_edge_past_the_last_table_step(self, h2plus, monkeypatch):
+        # the 4 nm table from 400.2 nm reaches 512.2 nm; clipped to the
+        # 508.2 nm edge, a repeated wavelength made the crossing fit singular
+        calls = count_calls(monkeypatch, ep, "adiabatic_levels")
+        cands = approximate_eps(h2plus, range(17), range(9), (400.2, 508.2))
+        assert calls[0] == 28          # 400.2, 404.2, ..., 508.2 nm, each once
+        got = {(c.v, c.v_plus): c.lambda_guess for c in cands}
+        assert len(got) == 9
+        assert got[(11, 2)] == pytest.approx(506.25, abs=0.01)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -128,13 +119,13 @@ class TestWorkBudget:
             assert got[key] == pytest.approx(lam, abs=0.01)
 
     def test_failing_seed_walk_gives_up_cheaply(self, h2plus, monkeypatch):
-        # secants that wander off give up at the trust radius instead of
-        # running out of iterations; without that the walk costs 2397
+        # the walk's extrapolated predictions keep each secant near its
+        # root, so this failing candidate costs about 390 determinants
         calls = count_calls(monkeypatch, CoupledSystem, "determinant")
         cand = EPCandidate(v=9, v_partner=10, v_plus=0, lambda_guess=648.515625)
         with pytest.raises(ConvergenceError, match="Newton iterate left the seed pair"):
             refine_ep(h2plus, cand)
-        assert calls[0] <= 1200
+        assert calls[0] <= 500
 
 
 class TestPairWalk:

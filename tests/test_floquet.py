@@ -523,16 +523,6 @@ class TestGuards:
                            match=r"50 secant iterations \(last \|dE\| = .*, \|D\| = "):
             find_resonance(system, complex(-0.3))
 
-    def test_trust_radius_aborts_a_wandering_secant(self, h2plus, grid, free_levels):
-        # 1e-3 hartree off the v = 12 root, the first step already leaves
-        # a 1e-5 disc around the guess
-        counted = CountingSystem(build_system(h2plus, FieldPoint(788.2, 1e12), grid))
-        guess = complex(free_levels[12].energy) + 1e-3
-        with pytest.raises(ConvergenceError,
-                           match=r"trust radius: \|E - guess\| = .* > 1\.000e-05"):
-            find_resonance(counted, guess, radius=1e-5)
-        assert counted.calls == 2
-
     def test_resonance_rejects_negative_width(self):
         with pytest.raises(ValueError, match="non-negative"):
             Resonance(energy=-0.1 - 0.001j, width=-1e-3)
