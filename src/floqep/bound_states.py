@@ -10,6 +10,7 @@ potential treated as a plain well with a box boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,12 +18,14 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv as _dgtsv
 
 from .errors import ConvergenceError, ModelError
-from .molecule import FieldPoint, MoleculeModel, adiabatic_potentials
+from .molecule import FieldPoint, MoleculeModel, RadialGrid, adiabatic_potentials
 
-__all__ = ["BoundLevel", "LevelSet", "adiabatic_levels", "vibrational_levels"]
+__all__ = ["BoundLevel", "LevelSet", "adiabatic_levels", "field_free_levels",
+           "vibrational_levels"]
 
 _ETOL = 1e-12          # |dE| convergence for the Newton polish
 _MAX_NEWTON = 200
+_LEVEL_SETS = 1         # field-free sets kept: each command reads one (model, grid)
 
 
 @dataclass(frozen=True)
@@ -249,6 +252,19 @@ def vibrational_levels(potential, mass: float, v_max: int | None = None, *,
         lo = e + max(1e-13, 1e-13 * abs(e))
     truncated = v_max is not None and want < v_max + 1
     return LevelSet(levels, truncated=truncated)
+
+
+@functools.lru_cache(maxsize=_LEVEL_SETS)
+def field_free_levels(model: MoleculeModel, grid: RadialGrid) -> LevelSet:
+    """Every bound level of the g curve on the span and spacing of ``grid``,
+    solved once per (model, grid).
+
+    The set is shared between callers and must not be mutated.  Keyed on
+    the model itself, as in-memory models all share fingerprint "".
+    """
+    return vibrational_levels(model.vg_curve, model.reduced_mass,
+                              r_min=grid.r_min, r_max=grid.r_max,
+                              n_points=grid.n_points)
 
 
 def adiabatic_levels(model: MoleculeModel, field: FieldPoint, vplus_max: int) -> LevelSet:

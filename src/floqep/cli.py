@@ -35,7 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .bound_states import adiabatic_levels, vibrational_levels
+from .bound_states import adiabatic_levels, field_free_levels, vibrational_levels
 from .cache import SolveCache
 from .ep import (DIAGNOSTIC_INTENSITY, EPCandidate, EPRecord, approximate_eps,
                  cluster_bands, records_from_csv, records_to_csv, refine_ep)
@@ -200,9 +200,7 @@ def cmd_resonance(args, model, grid):
     rec = cache.get(key)
     cached = rec is not None
     if not cached:
-        levels = vibrational_levels(model.vg_curve, model.reduced_mass,
-                                    r_min=grid.r_min, r_max=grid.r_max,
-                                    n_points=grid.n_points)
+        levels = field_free_levels(model, grid)
         if not 0 <= args.v < len(levels):
             raise ModelError(f"v={args.v} outside the {len(levels)} "
                              "bound levels")
@@ -235,6 +233,17 @@ def _ep_key(model, grid, args, cand):
                           n_blocks=args.n_blocks, i_cap=args.i_cap)
 
 
+def _check_refine_options(args):
+    """Reject --n-blocks and --i-cap values that no refinement can use,
+    before any scan or solve."""
+    if args.n_blocks < 2 or args.n_blocks % 2:
+        raise ModelError(f"--n-blocks must be an even count >= 2, "
+                         f"got {args.n_blocks}")
+    if not args.i_cap > 0:
+        raise ModelError(f"--i-cap must be positive (10^13 W/cm^2), "
+                         f"got {args.i_cap}")
+
+
 def _refine(model, cand, grid, n_blocks, i_cap):
     """refine_ep, with a refinement failure returned as its message."""
     try:
@@ -252,6 +261,7 @@ def _refine_worker(args):
 
 def cmd_ep_map(args, model, grid):
     """Locate and refine every coalescence seeded inside the window."""
+    _check_refine_options(args)
     cache = SolveCache(args.cache)
     lo, hi = args.window
     cands = approximate_eps(model, range(args.v_max + 1),
@@ -304,6 +314,7 @@ def cmd_ep_map(args, model, grid):
 def cmd_ep_refine(args, model, grid):
     """Refine a single candidate to its coalescence point."""
     _require(args, "v", "v_plus", "lambda_guess")
+    _check_refine_options(args)
     partner = args.v_partner if args.v_partner is not None else args.v + 1
     cand = EPCandidate(v=args.v, v_partner=partner, v_plus=args.v_plus,
                        lambda_guess=args.lambda_guess)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound_states import adiabatic_levels, vibrational_levels
+from .bound_states import adiabatic_levels, field_free_levels, vibrational_levels
 from .errors import ConvergenceError, ModelError
 from .floquet import (build_system, continuation, extrapolate, find_resonance,
                       step_character)
@@ -212,9 +212,7 @@ def _walk_pair(model, pair, lam, intensities, grid, n_blocks):
     """
     v, w = pair
     grid = grid if grid is not None else RadialGrid()
-    levels = vibrational_levels(model.vg_curve, model.reduced_mass,
-                                r_min=grid.r_min, r_max=grid.r_max,
-                                n_points=grid.n_points)
+    levels = field_free_levels(model, grid)
     if w >= len(levels):
         raise ModelError(f"pair ({v}, {w}) exceeds the "
                          f"{len(levels)} bound levels")

@@ -14,14 +14,18 @@ one-point stencil bridges the real/rotated step mismatch at the scaling corner.
 For every block count the ratios come from two banded boundary-value problems
 of the Numerov equations, outward from the origin and inward from the contour
 end (the ratios are the block pivots of that banded LU; B. R. Johnson,
-J. Chem. Phys. 69, 4678 (1978)).  Both half bands are assembled once per
-system; a determinant adds the E terms and the corner row, factors each half
-once and reads the two psi it needs off the tails of the factors.
+J. Chem. Phys. 69, 4678 (1978)).  What does not depend on the field (the
+curves on the contour, the corner derivatives, the constant E-row terms) is
+computed once per (model, grid, block count); the rest of both half bands
+is assembled once per system; a determinant adds the E terms and the corner
+row, factors each half once and reads the two psi it needs off the tails of
+the factors.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +55,10 @@ _MAX_SECANT = 50
 _IM_TOL = 1e-12        # tolerated positive imaginary part before rejection
 _MAX_STEP = 2e-3       # cap on a single secant step, hartree
 _MAX_SPLITS = 14       # step halvings allowed on the way to one continuation target
+# field-free system templates kept: each command and each loop, walk or ramp
+# builds on one (model, grid, blocks) at a time, and an older template would
+# only hold memory (about 1 MB at 4 blocks)
+_TEMPLATES = 1
 
 
 @dataclass(frozen=True)
@@ -80,21 +88,18 @@ def _block_list(n_blocks: int) -> list[tuple[str, int]]:
     return [("g" if n % 2 == 0 else "u", n) for n in range(top, top - n_blocks, -1)]
 
 
-class CoupledSystem:
-    """Discretized coupled problem, ready for determinant evaluation.
-
-    Immutable after construction; precomputes all energy-independent grid
-    quantities, the two half bands included, so one determinant evaluation
-    costs two banded factorizations and two short tail solves.
+class _Template:
+    """What a system takes from its (model, grid, block count, matching
+    index) alone: the curves and the dipole on the contour, the Numerov step
+    factors, the unscaled corner derivatives, and each half band's E-row
+    constants.  None of it depends on the field; ``_template`` memoizes it
+    per key, keyed on the model itself, because in-memory models all share
+    fingerprint "".
     """
 
-    def __init__(self, model: MoleculeModel, field: FieldPoint, grid: RadialGrid,
-                 n_blocks: int = 2, matching_index: int | None = None):
-        self.model = model
-        self.field = field
-        self.grid = grid
+    def __init__(self, model: MoleculeModel, grid: RadialGrid, n_blocks: int,
+                 matching_index: int | None):
         self.blocks = _block_list(n_blocks)
-
         vg, vu = model.vg_curve, model.vu_curve
         corner_r = grid.points()[grid.corner_index]
         for crv in (vg, vu, model.dipole):
@@ -106,8 +111,6 @@ class CoupledSystem:
         z = grid.contour()
         c = grid.corner_index
         x = np.real(z[:c])
-        mass = model.reduced_mass
-        omega = field.omega
         self.reference = vg.asymptote
 
         def on_contour(crv):
@@ -116,30 +119,105 @@ class CoupledSystem:
             return np.concatenate([crv(x), crv.eval_at(z[c:])])
 
         curves = {"g": vg, "u": vu}
-        vals = {state: on_contour(crv) for state, crv in curves.items()}
-        diag = [vals[state] + n * omega - self.reference for state, n in self.blocks]
-        self._vdiag = diag
-        # off-diagonal of W = 2M(V - E)
-        self._woff = -mass * field.e0 * on_contour(model.dipole)
+        self.vals = {state: on_contour(crv) for state, crv in curves.items()}
+        self.mu = on_contour(model.dipole)
 
         h = grid.step
         b = h * cmath.exp(1j * grid.ecs_angle)
         p = np.full(len(z), h * h / 12.0, dtype=complex)
         p[c + 1:] = b * b / 12.0
-        self._p = p
-        self._2m = 2.0 * mass
-        self._h, self._b, self._corner = h, b, c
+        self.p = p
+        self.h, self.b, self.corner = h, b, c
 
         if matching_index is None:
-            gidx = [i for i, (s, n) in enumerate(self.blocks) if (s, n) == ("g", 0)][0]
-            matching_index = int(np.argmin(np.real(diag[gidx][: c])))
+            # the g block of photon number 0 has V_g - reference as its diagonal
+            matching_index = int(np.argmin(np.real(self.vals["g"][:c] - self.reference)))
         if not 2 <= matching_index <= c - 3:
             raise GridError(f"matching index {matching_index} must sit between the "
                             f"inner boundary and the scaling corner")
         self.matching_index = matching_index
 
+        # derivatives of V at the corner zc, for the corner stencil; the
+        # dipole's, on the off-diagonal ``off``, are scaled by each field
+        nb = len(self.blocks)
+        zc = z[c]
+        self.v1 = np.zeros((nb, nb), dtype=complex)
+        self.v2 = np.zeros_like(self.v1)
+        for i, (state, _) in enumerate(self.blocks):
+            self.v1[i, i] = curves[state].d1(zc)
+            self.v2[i, i] = curves[state].d2(zc)
+        self.mu1, self.mu2 = model.dipole.d1(zc), model.dipole.d2(zc)
+        self.off = np.eye(nb, k=1, dtype=bool) | np.eye(nb, k=-1, dtype=bool)
+
+        # the E rows of both halves (see CoupledSystem._half_band); the inward
+        # half is stored reversed
+        m = matching_index
+        kl = nb + 1
+        mid = 2 * kl                          # band row of the main diagonal
+        self.outward = self._erow_terms(p[1: m + 1])
+        self.inward = self._erow_terms(p[m + 1: len(p) - 1][::-1])
+        self.erows = slice(mid - nb, mid + nb + 1, nb)
+        # the corner row c (m + 3 <= c, so in the inward half): blocks
+        # (a_minus, -a_zero, a_plus) at the points c - 1, c, c + 1, at the
+        # band positions of the reversed layout
+        dk, i, j = np.indices((3, nb, nb))
+        d = (dk - 1) * nb + j - i
+        self.corner_mask = np.abs(d) <= kl
+        col = (c - m - 2 + dk) * nb + j
+        self.corner_rows = (mid + d)[self.corner_mask]
+        self.corner_cols = (self.inward[0].shape[1] - 1 - col)[self.corner_mask]
+        # every system built on this template reads these arrays
+        for a in (p, self.mu, *self.vals.values(), self.v1, self.v2,
+                  *self.outward, *self.inward):
+            a.flags.writeable = False
+
+    def _erow_terms(self, p):
+        """The E rows' constant terms (1, -2, 1) and factors p_k (1, 10, 1)
+        of 2M (V - E), one column per (grid point, block) as in the band."""
+        nb = len(self.blocks)
+        pp = np.concatenate([[0.0], p, [0.0]])
+        pw = np.repeat([pp[:-2], 10.0 * pp[1:-1], pp[2:]], nb, axis=1)
+        s = np.zeros(pw.shape)
+        s[0, nb:], s[1], s[2, :-nb] = 1.0, -2.0, 1.0
+        return s, pw
+
+
+_template = functools.lru_cache(maxsize=_TEMPLATES)(_Template)
+
+
+class CoupledSystem:
+    """Discretized coupled problem, ready for determinant evaluation.
+
+    Immutable after construction.  What does not depend on the field comes
+    from the shared template of (model, grid, n_blocks, matching_index); a
+    build adds the field's n omega shifts and E0 coupling, the corner terms
+    and the field-dependent entries of the two half bands, so one
+    determinant evaluation costs two banded factorizations and two short
+    tail solves.
+    """
+
+    def __init__(self, model: MoleculeModel, field: FieldPoint, grid: RadialGrid,
+                 n_blocks: int = 2, matching_index: int | None = None):
+        tpl = _template(model, grid, n_blocks, matching_index)
+        self.model = model
+        self.field = field
+        self.grid = grid
+        self._tpl = tpl
+        self.blocks = tpl.blocks
+        self.reference = tpl.reference
+        self.matching_index = tpl.matching_index
+        self._p = tpl.p
+        self._h, self._b, self._corner = tpl.h, tpl.b, tpl.corner
+        self._2m = 2.0 * model.reduced_mass
+
+        omega = field.omega
+        self._vdiag = [tpl.vals[state] + n * omega - self.reference
+                       for state, n in self.blocks]
+        # off-diagonal of W = 2M(V - E)
+        self._woff = -model.reduced_mass * field.e0 * tpl.mu
+
         self._check_resolution()
-        self._corner_data(curves, z[c])
+        self._corner_data()
         self._assemble_halves()
 
     def _check_resolution(self):
@@ -150,20 +228,12 @@ class CoupledSystem:
             raise GridError("grid too coarse for the de Broglie resolution "
                             "at this energy scale")
 
-    def _corner_data(self, curves, zc):
-        """Derivatives of W at the scaling corner zc, for the corner stencil."""
-        nb = len(self.blocks)
-        v1 = np.zeros((nb, nb), dtype=complex)
-        v2 = np.zeros_like(v1)
-        for i, (state, _) in enumerate(self.blocks):
-            v1[i, i] = curves[state].d1(zc)
-            v2[i, i] = curves[state].d2(zc)
+    def _corner_data(self):
+        """Derivatives of W at the scaling corner, for the corner stencil."""
+        tpl = self._tpl
+        v1, v2 = tpl.v1.copy(), tpl.v2.copy()
         coef = -0.5 * self.field.e0
-        mu1 = coef * self.model.dipole.d1(zc)
-        mu2 = coef * self.model.dipole.d2(zc)
-        for i in range(nb - 1):
-            v1[i, i + 1] = v1[i + 1, i] = mu1
-            v2[i, i + 1] = v2[i + 1, i] = mu2
+        v1[tpl.off], v2[tpl.off] = coef * tpl.mu1, coef * tpl.mu2
         self._w1c = self._2m * v1
         self._w2c = self._2m * v2
 
@@ -194,7 +264,7 @@ class CoupledSystem:
         return w
 
     # -- determinant -------------------------------------------------------
-    def _half_band(self, lo: int, hi: int, reverse: bool):
+    def _half_band(self, lo: int, hi: int, reverse: bool, erows: tuple):
         """The Numerov rows lo..hi, less their E terms, for ``_pinned_psi``.
 
         Band layout of ``zgbtrf`` with kl = ku = nb + 1, one column per
@@ -206,9 +276,10 @@ class CoupledSystem:
 
         E enters only the diagonal of the diagonal blocks, on the band rows
         mid - nb, mid and mid + nb (psi_{k+1}, psi_k, psi_{k-1}); those rows
-        are left empty.  Returns the band, their constant terms (1, -2, 1),
-        their factors p_k (1, 10, 1) of W, and the potential V at each
-        column's point, from which ``_pinned_psi`` forms 2M (V - E).
+        are left empty.  Returns the band, the template's constant terms
+        (1, -2, 1) and factors p_k (1, 10, 1) of W for those rows
+        (``erows``), and the potential V at each column's point, from which
+        ``_pinned_psi`` forms 2M (V - E).
         """
         nb = len(self.blocks)
         kb = hi - lo + 1
@@ -233,7 +304,9 @@ class CoupledSystem:
                 band[row, j] = coef
 
         # (I - p W_{k-1}) psi_{k-1} - (2 I + 10 p W_k) psi_k + (I - p W_{k+1}) psi_{k+1}:
-        # off the diagonal of the blocks, W is the dipole coupling
+        # off the diagonal of the blocks, W is the dipole coupling; on it,
+        # (1, -2, 1) - p_k (1, 10, 1) 2M (V - E), which _pinned_psi writes at
+        # each E
         off = [(dk, -cw * p * wo[1 + dk: kb + 1 + dk])
                for dk, cw in ((-1, 1.0), (0, 10.0), (1, 1.0))]
         for i in range(nb):
@@ -241,13 +314,7 @@ class CoupledSystem:
                 if 0 <= j < nb:
                     for dk, coef in off:
                         put(dk, i, j, coef)
-        # on it, (1, -2, 1) - p_k (1, 10, 1) 2M (V - E), which _pinned_psi
-        # writes at each E; one column per (grid point, block) as in the band
-        pp = np.concatenate([[0.0], p, [0.0]])
-        pw = np.repeat([pp[:-2], 10.0 * pp[1:-1], pp[2:]], nb, axis=1)
-        s = np.zeros(pw.shape)
-        s[0, nb:], s[1], s[2, :-nb] = 1.0, -2.0, 1.0
-        return (band.reshape(3 * kl + 1, nb * kb, order="F"), s, pw,
+        return (band.reshape(3 * kl + 1, nb * kb, order="F"), *erows,
                 v[:, 1:-1].ravel(order="F"))
 
     def _assemble_halves(self):
@@ -257,22 +324,9 @@ class CoupledSystem:
         pinned psi = I sits past the last row and the psi that the ratios
         need is the last point.
         """
-        nb = len(self.blocks)
-        kl = nb + 1
-        mid = 2 * kl
-        m, c = self.matching_index, self._corner
-        self._outward = self._half_band(1, m, reverse=False)
-        self._inward = self._half_band(m + 1, len(self._p) - 2, reverse=True)
-        self._erows = slice(mid - nb, mid + nb + 1, nb)
-        # the corner row c (m + 3 <= c, so in the inward half): blocks
-        # (a_minus, -a_zero, a_plus) at the points c - 1, c, c + 1, at the
-        # band positions of the reversed layout
-        dk, i, j = np.indices((3, nb, nb))
-        d = (dk - 1) * nb + j - i
-        self._corner_mask = np.abs(d) <= kl
-        col = (c - m - 2 + dk) * nb + j
-        self._corner_rows = (mid + d)[self._corner_mask]
-        self._corner_cols = (self._inward[0].shape[1] - 1 - col)[self._corner_mask]
+        m, tpl = self.matching_index, self._tpl
+        self._outward = self._half_band(1, m, False, tpl.outward)
+        self._inward = self._half_band(m + 1, len(self._p) - 2, True, tpl.inward)
 
     def determinant(self, e: complex) -> complex:
         """det(R_m - G_{m+1}^-1) at the matching point; zero at quasienergies.
@@ -289,7 +343,7 @@ class CoupledSystem:
         fm = eye - self._p[m] * self._wmat(m, e)
         fm1 = eye - self._p[m + 1] * self._wmat(m + 1, e)
         a_plus, a_minus, a_zero = self._corner_matrices(e)
-        corner = np.stack([a_minus, -a_zero, a_plus])[self._corner_mask]
+        corner = np.stack([a_minus, -a_zero, a_plus])[self._tpl.corner_mask]
         psi_out = self._pinned_psi(self._outward, e, -fm1)
         # the inward half is stored reversed: its right-hand side and
         # solution come in reverse block order
@@ -313,9 +367,9 @@ class CoupledSystem:
         kl = nb + 1
         band0, s, pw, v = half
         band = band0.copy(order="F")
-        np.subtract(s, pw * (self._2m * (v - e)), out=band[self._erows])
+        np.subtract(s, pw * (self._2m * (v - e)), out=band[self._tpl.erows])
         if corner is not None:
-            band[self._corner_rows, self._corner_cols] = corner
+            band[self._tpl.corner_rows, self._tpl.corner_cols] = corner
         lu, ipiv, info = _zgbtrf(band, kl, kl, overwrite_ab=1)
         if info != 0:
             raise ConvergenceError(f"singular banded Numerov solve (info {info})",
@@ -481,10 +535,10 @@ def classify_resonance(model: MoleculeModel, field: FieldPoint, energy: complex,
     ``energy`` under an intensity step of max(2 %, 1e9 W/cm^2); Unclassified
     when the probe step cannot be tracked.
     """
-    stepped = CoupledSystem(
+    stepped = build_system(
         model, FieldPoint(field.wavelength,
                           field.intensity + max(0.02 * field.intensity, 1e9)),
-        grid if grid is not None else RadialGrid(), n_blocks)
+        grid, n_blocks)
     try:
         res2 = find_resonance(stepped, energy)
     except ConvergenceError:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bound_states import vibrational_levels
+from .bound_states import field_free_levels
 from .errors import ContinuationError, ConvergenceError, ModelError
 from .floquet import (build_system, classify_resonance, continuation, extrapolate,
                       find_resonance)
@@ -143,9 +143,7 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
     match a field-free level to 1e-6 hartree; its index becomes v_end.
     """
     grid = grid if grid is not None else RadialGrid()
-    levels = vibrational_levels(model.vg_curve, model.reduced_mass,
-                                r_min=grid.r_min, r_max=grid.r_max,
-                                n_points=grid.n_points)
+    levels = field_free_levels(model, grid)
     if not 0 <= v_start < len(levels):
         raise ModelError(f"v_start={v_start} outside the {len(levels)} "
                          "bound levels")

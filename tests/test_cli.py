@@ -370,6 +370,28 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(cache) in err
 
+    @pytest.mark.parametrize("argv", [
+        ["ep-map", "--window", "600", "660", "--v-max", "13", "--vplus-max", "3"],
+        ["ep-refine", "--v", "12", "--v-plus", "2", "--lambda-guess", "635.95"]])
+    def test_odd_block_count_rejected_before_any_solve(self, tmp_path, capsys,
+                                                       argv):
+        # each candidate used to fail on its own, after the whole scan
+        assert main([*argv, "--n-blocks", "3", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n-blocks" in err
+        assert not any(f.endswith(".json") for f in os.listdir(tmp_path))
+
+    @pytest.mark.parametrize("i_cap", ["-0.5", "0"])
+    @pytest.mark.parametrize("argv", [
+        ["ep-map", "--window", "600", "660"],
+        ["ep-refine", "--v", "12", "--v-plus", "2", "--lambda-guess", "635.95"]])
+    def test_non_positive_intensity_cap_rejected(self, tmp_path, capsys, argv,
+                                                 i_cap):
+        assert main([*argv, "--i-cap", i_cap, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "i-cap" in err
+        assert "10^13 W/cm^2" in err
+
 
 class TestStartUp:
     def test_cli_import_leaves_out_scipy_interpolate(self):

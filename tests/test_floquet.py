@@ -493,6 +493,72 @@ class TestTabulatedDipole:
             build_system(late, FieldPoint(600.0, 1e12))
 
 
+class TestTemplate:
+    """Systems share one field-free template per (model, grid, block count,
+    matching index); a build adds only what the field sets."""
+
+    @pytest.mark.parametrize("case", ["two blocks", "four blocks", "tables"])
+    def test_warm_template_gives_the_cold_system(self, h2plus, grid, toy,
+                                                 toy_tables, case):
+        model, tgrid, nb, e = {
+            "two blocks": (h2plus, grid, 2, -0.0105 - 1e-5j),
+            "four blocks": (h2plus, grid, 4, -0.0105 - 1e-5j),
+            "tables": (toy_tables, toy[1], 2, -0.05 - 1e-4j)}[case]
+        field = FieldPoint(600.0, 5e12)
+        floquet._template.cache_clear()
+        cold = build_system(model, field, tgrid, n_blocks=nb)
+        build_system(model, FieldPoint(640.0, 2e12), tgrid, n_blocks=nb)
+        warm = build_system(model, field, tgrid, n_blocks=nb)
+        assert warm._tpl is cold._tpl
+        assert warm.determinant(e) == cold.determinant(e)
+        assert warm.determinant(e + 1e-3) == cold.determinant(e + 1e-3)
+        for a, b in zip(warm._vdiag, cold._vdiag):
+            assert np.array_equal(a, b)
+        assert np.array_equal(warm._woff, cold._woff)
+
+    def test_curves_are_evaluated_once_per_key(self, toy, monkeypatch):
+        _, tgrid, _ = toy
+        model = MoleculeModel(name="fresh", vg_curve=morse_curve(0.1, 0.7, 2.0),
+                              vu_curve=exp_repulsive(2.0, 0.9),
+                              dipole=linear_dipole(0.5), reduced_mass=50.0)
+        counts = {}
+        for name in ("vg_curve", "vu_curve", "dipole"):
+            crv = getattr(model, name)
+            counts[name] = [0]
+
+            def counted(z, inner=crv.eval_at, n=counts[name]):
+                n[0] += 1
+                return inner(z)
+
+            monkeypatch.setattr(crv, "eval_at", counted)
+        for k in range(10):
+            build_system(model, FieldPoint(600.0 + k, (1 + k) * 1e12), tgrid)
+        assert {name: n[0] for name, n in counts.items()} == {
+            "vg_curve": 1, "vu_curve": 1, "dipole": 1}
+
+    def test_equal_fingerprints_do_not_share(self, toy):
+        model, tgrid, _ = toy
+        deeper = dataclasses.replace(model, vg_curve=morse_curve(0.12, 0.7, 2.0))
+        assert deeper.fingerprint == model.fingerprint == ""
+        field = FieldPoint(600.0, 5e12)
+        a = build_system(model, field, tgrid)
+        b = build_system(deeper, field, tgrid)
+        assert a._tpl is not b._tpl
+        floquet._template.cache_clear()
+        cold = build_system(deeper, field, tgrid)
+        assert np.array_equal(b._vdiag[0], cold._vdiag[0])
+        assert not np.array_equal(a._vdiag[0], b._vdiag[0])
+
+    def test_late_tail_rejected_on_every_build(self, h2plus):
+        r = np.linspace(0.3, 30.0, 200)
+        late = dataclasses.replace(
+            h2plus, dipole=TabulatedCurve(r, 0.5 * r, kind="dipole",
+                                          tail_start=20.0))
+        for inten in (1e12, 2e12, 1e12):
+            with pytest.raises(GridError, match="tail region"):
+                build_system(late, FieldPoint(600.0, inten))
+
+
 class TestGuards:
     def test_coarse_grid_rejected(self, h2plus):
         with pytest.raises(GridError, match="too coarse"):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from floqep import loops
+from floqep import bound_states, cli, ep, loops
 from floqep.errors import ContinuationError, ConvergenceError, ModelError
 from floqep.floquet import Resonance
 from floqep.loops import (
@@ -267,6 +267,23 @@ class TestScenario:
         assert report.transfers == [(2, 2)]
         assert report.cumulative == pytest.approx(report.survivals[0])
         assert report.trajectories[0].v_end == 2
+
+    def test_field_free_levels_solved_once(self, h2plus, monkeypatch):
+        calls = [0]
+        inner = bound_states.vibrational_levels
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return inner(*args, **kwargs)
+
+        # every binding, so that a module importing it by name counts too
+        for mod in (bound_states, loops, ep, cli):
+            if hasattr(mod, "vibrational_levels"):
+                monkeypatch.setattr(mod, "vibrational_levels", counted)
+        bound_states.field_free_levels.cache_clear()
+        report = run_scenario(h2plus, [(self.SPEC, (2, 2)), (self.SPEC, (2, 2))])
+        assert report.transfers == [(2, 2), (2, 2)]
+        assert calls[0] == 1
 
 
 class TestTrajectoryCsv:
