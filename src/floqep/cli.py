@@ -68,7 +68,10 @@ def _split_loop_sections(pairs):
 def _coerce(action, raw):
     if action.nargs in (2, "+", "*"):
         conv = action.type or str
-        return [conv(tok) for tok in raw.split()]
+        vals = [conv(tok) for tok in raw.split()]
+        if isinstance(action.nargs, int) and len(vals) != action.nargs:
+            raise ValueError(f"want {action.nargs} values")
+        return vals
     if action.const is True:
         return raw.lower() in ("1", "true", "yes", "on")
     return (action.type or str)(raw)
@@ -341,6 +344,8 @@ def cmd_loop(args, model, grid):
     _require(args, "lambda0", "d_lambda", "i_max", "v_start")
     spec = LoopSpec(lambda0=args.lambda0, d_lambda=args.d_lambda,
                     i_max=args.i_max, t_f=args.t_f, n_steps=args.n_steps)
+    # EP records give intensity in 10^13 W/cm^2, like the samples and --i-max
+    eps = records_from_csv(args.ep_csv) if args.ep_csv else []
     partial = False
     try:
         traj = follow_resonance(model, spec, args.v_start, grid,
@@ -355,12 +360,9 @@ def cmd_loop(args, model, grid):
     p_end = traj.survival_at_end() if traj.samples else float("nan")
     trajectory_to_csv(traj, os.path.join(args.out, "loop.csv"))
 
-    # samples, --i-max and EP records all give intensity in 10^13 W/cm^2
     markers = [(traj.samples[0].wavelength, traj.samples[0].intensity, "start")]
-    if args.ep_csv:
-        markers += [(r.lambda_ep, r.intensity_ep,
-                     f"({r.pair[0]},{r.pair[1]})")
-                    for r in records_from_csv(args.ep_csv)]
+    markers += [(r.lambda_ep, r.intensity_ep, f"({r.pair[0]},{r.pair[1]})")
+                for r in eps]
     line_plot(os.path.join(args.out, "loop_contour.svg"),
               [("contour", [s.wavelength for s in traj.samples],
                 [s.intensity for s in traj.samples])],

@@ -28,7 +28,7 @@ from .bound_states import adiabatic_levels, field_free_levels, vibrational_level
 from .errors import ConvergenceError, ModelError
 from .floquet import (build_system, continuation, extrapolate, find_resonance,
                       step_character)
-from .molecule import FieldPoint, MoleculeModel, RadialGrid
+from .molecule import FieldPoint, MoleculeModel, RadialGrid, key_value
 from .units import INTENSITY_UNIT
 
 # reference intensity for the crossing diagnostic: small enough that the
@@ -213,9 +213,9 @@ def _walk_pair(model, pair, lam, intensities, grid, n_blocks):
     v, w = pair
     grid = grid if grid is not None else RadialGrid()
     levels = field_free_levels(model, grid)
-    if w >= len(levels):
-        raise ModelError(f"pair ({v}, {w}) exceeds the "
-                         f"{len(levels)} bound levels")
+    if not (0 <= v < len(levels) and 0 <= w < len(levels) and v != w):
+        raise ModelError(f"pair ({v}, {w}) is not two distinct levels of the "
+                         f"{len(levels)} bound levels 0..{len(levels) - 1}")
 
     def step(points, inten):
         guess = extrapolate(points, inten)
@@ -420,13 +420,23 @@ def records_to_csv(records, path):
 
 def records_from_csv(path):
     """Records from records_to_csv; a file in the older layout without the
-    e_ep and v_plus columns loads with e_ep = 0 and v_plus = None."""
+    e_ep and v_plus columns loads with e_ep = 0 and v_plus = None.  A
+    missing column or a value that does not parse raises a ModelError that
+    names the file and the column."""
+    def pair(text):
+        v, w = text.split("-")
+        return [int(v), int(w)]
+
     out = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            d = {k: float(row[k]) for k in _CSV_FLOATS}
-            d["pair"] = [int(v) for v in row["pair"].split("-")]
-            d["e_ep"] = [float(row.get(k) or 0.0) for k in ("e_ep_re", "e_ep_im")]
-            d["v_plus"] = int(row["v_plus"]) if row.get("v_plus") else None
+            # the older layout has no e_ep and v_plus columns
+            row = {"e_ep_re": "0", "e_ep_im": "0", "v_plus": "", **row}
+            d = {k: key_value(row, k, float, path) for k in _CSV_FLOATS}
+            d["pair"] = key_value(row, "pair", pair, path)
+            d["e_ep"] = [key_value(row, k, float, path)
+                         for k in ("e_ep_re", "e_ep_im")]
+            d["v_plus"] = key_value(row, "v_plus",
+                                    lambda t: int(t) if t else None, path)
             out.append(EPRecord.from_dict(d))
     return out

@@ -14,12 +14,14 @@ one-point stencil bridges the real/rotated step mismatch at the scaling corner.
 For every block count the ratios come from two banded boundary-value problems
 of the Numerov equations, outward from the origin and inward from the contour
 end (the ratios are the block pivots of that banded LU; B. R. Johnson,
-J. Chem. Phys. 69, 4678 (1978)).  What does not depend on the field (the
-curves on the contour, the corner derivatives, the constant E-row terms) is
-computed once per (model, grid, block count); the rest of both half bands
-is assembled once per system; a determinant adds the E terms and the corner
-row, factors each half once and reads the two psi it needs off the tails of
-the factors.
+J. Chem. Phys. 69, 4678 (1978)).  The field enters the discretized problem
+through two numbers only: omega, in the n omega shifts of the diagonal, and
+E0, in the coupling -M E0 mu, which is linear in E0.  So both half bands are
+assembled once per (model, grid, block count), at E0 = 1; a system keeps
+omega, E0 and the E-row potentials V + n omega; a determinant scales each
+band by E0 in the one copy it makes, adds the E terms and the corner row,
+factors each half once and reads the two psi it needs off the tails of the
+factors.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +60,7 @@ _MAX_STEP = 2e-3       # cap on a single secant step, hartree
 _MAX_SPLITS = 14       # step halvings allowed on the way to one continuation target
 # field-free system templates kept: each command and each loop, walk or ramp
 # builds on one (model, grid, blocks) at a time, and an older template would
-# only hold memory (about 1 MB at 4 blocks)
+# only hold memory (1.6 MB at 2 blocks, 4.3 MB at 4 on the default grid)
 _TEMPLATES = 1
 
 
@@ -88,13 +91,20 @@ def _block_list(n_blocks: int) -> list[tuple[str, int]]:
     return [("g" if n % 2 == 0 else "u", n) for n in range(top, top - n_blocks, -1)]
 
 
+# one half band of the determinant (see _Template._half_band)
+_Half = namedtuple("_Half", "band s pw v n")
+
+
 class _Template:
     """What a system takes from its (model, grid, block count, matching
-    index) alone: the curves and the dipole on the contour, the Numerov step
-    factors, the unscaled corner derivatives, and each half band's E-row
-    constants.  None of it depends on the field; ``_template`` memoizes it
-    per key, keyed on the model itself, because in-memory models all share
-    fingerprint "".
+    index) alone: both half bands of ``CoupledSystem.determinant`` at unit
+    field amplitude E0 = 1, with each E row's field-free V - reference and
+    photon number n, the Numerov step factors, and W = 2M (V - E) at E = 0
+    split into its field-free, n omega and E0 parts.  The field enters the
+    discretized problem only through omega (the n omega shifts) and E0 (the
+    coupling -M E0 mu, linear in E0), so a system keeps just those.
+    ``_template`` memoizes a template per key, keyed on the model itself,
+    because in-memory models all share fingerprint "".
     """
 
     def __init__(self, model: MoleculeModel, grid: RadialGrid, n_blocks: int,
@@ -119,43 +129,55 @@ class _Template:
             return np.concatenate([crv(x), crv.eval_at(z[c:])])
 
         curves = {"g": vg, "u": vu}
-        self.vals = {state: on_contour(crv) for state, crv in curves.items()}
-        self.mu = on_contour(model.dipole)
+        # V - reference of each state and block, and the dipole coupling W
+        # off the diagonal per unit E0
+        vs = {state: on_contour(crv) - self.reference for state, crv in curves.items()}
+        v = np.stack([vs[state] for state, _ in self.blocks])
+        wmu = -model.reduced_mass * on_contour(model.dipole)
+        self.n = np.array([n for _, n in self.blocks], dtype=float)
+        self.two_m = 2.0 * model.reduced_mass
 
         h = grid.step
         b = h * cmath.exp(1j * grid.ecs_angle)
         p = np.full(len(z), h * h / 12.0, dtype=complex)
         p[c + 1:] = b * b / 12.0
-        self.p = p
-        self.h, self.b, self.corner = h, b, c
+        self.p, self.h, self.b = p, h, b
 
         if matching_index is None:
             # the g block of photon number 0 has V_g - reference as its diagonal
-            matching_index = int(np.argmin(np.real(self.vals["g"][:c] - self.reference)))
+            matching_index = int(np.argmin(np.real(vs["g"][:c])))
         if not 2 <= matching_index <= c - 3:
             raise GridError(f"matching index {matching_index} must sit between the "
                             f"inner boundary and the scaling corner")
-        self.matching_index = matching_index
+        m = self.matching_index = matching_index
 
-        # derivatives of V at the corner zc, for the corner stencil; the
-        # dipole's, on the off-diagonal ``off``, are scaled by each field
+        # V at the first point and V minimum up to the corner, for the de
+        # Broglie check of each system
+        self.v_first = np.real(v[:, 0])
+        self.v_low = np.real(v[:, : c + 1]).min(axis=1)
+
+        # W at E = 0 at the points m, m + 1 and c, then its first and second
+        # derivatives at the corner zc for the corner stencil, each as
+        # w_free + omega w_n + E0 w_mu
         nb = len(self.blocks)
         zc = z[c]
-        self.v1 = np.zeros((nb, nb), dtype=complex)
-        self.v2 = np.zeros_like(self.v1)
-        for i, (state, _) in enumerate(self.blocks):
-            self.v1[i, i] = curves[state].d1(zc)
-            self.v2[i, i] = curves[state].d2(zc)
-        self.mu1, self.mu2 = model.dipole.d1(zc), model.dipole.d2(zc)
-        self.off = np.eye(nb, k=1, dtype=bool) | np.eye(nb, k=-1, dtype=bool)
+        pts = (m, m + 1, c)
+        self.w_free = self.two_m * np.stack(
+            [np.diag(v[:, k]) for k in pts]
+            + [np.diag([curves[state].d1(zc) for state, _ in self.blocks]),
+               np.diag([curves[state].d2(zc) for state, _ in self.blocks])])
+        self.w_n = self.two_m * np.multiply.outer([1, 1, 1, 0, 0], np.diag(self.n))
+        mu_c = [wmu[k] for k in pts] + [-model.reduced_mass * model.dipole.d1(zc),
+                                        -model.reduced_mass * model.dipole.d2(zc)]
+        self.w_mu = np.multiply.outer(mu_c, np.eye(nb, k=1) + np.eye(nb, k=-1))
 
-        # the E rows of both halves (see CoupledSystem._half_band); the inward
-        # half is stored reversed
-        m = matching_index
+        # both halves; the inward one is stored reversed, so that in both
+        # the pinned psi = I sits past the last row and the psi that the
+        # ratios need is the last point
+        self.outward = self._half_band(1, m, False, p, v, wmu)
+        self.inward = self._half_band(m + 1, len(p) - 2, True, p, v, wmu)
         kl = nb + 1
         mid = 2 * kl                          # band row of the main diagonal
-        self.outward = self._erow_terms(p[1: m + 1])
-        self.inward = self._erow_terms(p[m + 1: len(p) - 1][::-1])
         self.erows = slice(mid - nb, mid + nb + 1, nb)
         # the corner row c (m + 3 <= c, so in the inward half): blocks
         # (a_minus, -a_zero, a_plus) at the points c - 1, c, c + 1, at the
@@ -165,107 +187,14 @@ class _Template:
         self.corner_mask = np.abs(d) <= kl
         col = (c - m - 2 + dk) * nb + j
         self.corner_rows = (mid + d)[self.corner_mask]
-        self.corner_cols = (self.inward[0].shape[1] - 1 - col)[self.corner_mask]
+        self.corner_cols = (self.inward.band.shape[1] - 1 - col)[self.corner_mask]
         # every system built on this template reads these arrays
-        for a in (p, self.mu, *self.vals.values(), self.v1, self.v2,
-                  *self.outward, *self.inward):
+        for a in (p, self.n, self.v_first, self.v_low, self.w_free, self.w_n,
+                  self.w_mu, *self.outward, *self.inward):
             a.flags.writeable = False
 
-    def _erow_terms(self, p):
-        """The E rows' constant terms (1, -2, 1) and factors p_k (1, 10, 1)
-        of 2M (V - E), one column per (grid point, block) as in the band."""
-        nb = len(self.blocks)
-        pp = np.concatenate([[0.0], p, [0.0]])
-        pw = np.repeat([pp[:-2], 10.0 * pp[1:-1], pp[2:]], nb, axis=1)
-        s = np.zeros(pw.shape)
-        s[0, nb:], s[1], s[2, :-nb] = 1.0, -2.0, 1.0
-        return s, pw
-
-
-_template = functools.lru_cache(maxsize=_TEMPLATES)(_Template)
-
-
-class CoupledSystem:
-    """Discretized coupled problem, ready for determinant evaluation.
-
-    Immutable after construction.  What does not depend on the field comes
-    from the shared template of (model, grid, n_blocks, matching_index); a
-    build adds the field's n omega shifts and E0 coupling, the corner terms
-    and the field-dependent entries of the two half bands, so one
-    determinant evaluation costs two banded factorizations and two short
-    tail solves.
-    """
-
-    def __init__(self, model: MoleculeModel, field: FieldPoint, grid: RadialGrid,
-                 n_blocks: int = 2, matching_index: int | None = None):
-        tpl = _template(model, grid, n_blocks, matching_index)
-        self.model = model
-        self.field = field
-        self.grid = grid
-        self._tpl = tpl
-        self.blocks = tpl.blocks
-        self.reference = tpl.reference
-        self.matching_index = tpl.matching_index
-        self._p = tpl.p
-        self._h, self._b, self._corner = tpl.h, tpl.b, tpl.corner
-        self._2m = 2.0 * model.reduced_mass
-
-        omega = field.omega
-        self._vdiag = [tpl.vals[state] + n * omega - self.reference
-                       for state, n in self.blocks]
-        # off-diagonal of W = 2M(V - E)
-        self._woff = -model.reduced_mass * field.e0 * tpl.mu
-
-        self._check_resolution()
-        self._corner_data()
-        self._assemble_halves()
-
-    def _check_resolution(self):
-        c = self._corner
-        re_v = [np.real(v[: c + 1]) for v in self._vdiag]
-        spread = max(float(v[0]) for v in re_v) - min(float(v.min()) for v in re_v)
-        if self._h * math.sqrt(self._2m * max(spread, 1e-6)) > 1.0:
-            raise GridError("grid too coarse for the de Broglie resolution "
-                            "at this energy scale")
-
-    def _corner_data(self):
-        """Derivatives of W at the scaling corner, for the corner stencil."""
-        tpl = self._tpl
-        v1, v2 = tpl.v1.copy(), tpl.v2.copy()
-        coef = -0.5 * self.field.e0
-        v1[tpl.off], v2[tpl.off] = coef * tpl.mu1, coef * tpl.mu2
-        self._w1c = self._2m * v1
-        self._w2c = self._2m * v2
-
-    # -- corner stencil ----------------------------------------------------
-    def _corner_matrices(self, e: complex):
-        a, b = self._h, self._b
-        eye = np.eye(len(self.blocks), dtype=complex)
-        w0 = self._wmat(self._corner, e)
-        pp = a * b * (b * b - a * a) / 6.0
-        qq = a * b * (a ** 3 + b ** 3) / 24.0
-        cp = a / (b * (a + b))
-        cm = -b / (a * (a + b))
-        c0 = (b - a) / (a * b)
-        pw = pp * w0 + 2.0 * qq * self._w1c
-        a_plus = a * eye - pw * cp
-        a_minus = b * eye - pw * cm
-        a_zero = ((a + b) * eye + 0.5 * a * b * (a + b) * w0 + pp * self._w1c
-                  + qq * (self._w2c + w0 @ w0) + pw * c0)
-        return a_plus, a_minus, a_zero
-
-    def _wmat(self, k: int, e: complex) -> np.ndarray:
-        nb = len(self.blocks)
-        w = np.zeros((nb, nb), dtype=complex)
-        for i in range(nb):
-            w[i, i] = self._2m * (self._vdiag[i][k] - e)
-        for i in range(nb - 1):
-            w[i, i + 1] = w[i + 1, i] = self._woff[k]
-        return w
-
-    # -- determinant -------------------------------------------------------
-    def _half_band(self, lo: int, hi: int, reverse: bool, erows: tuple):
-        """The Numerov rows lo..hi, less their E terms, for ``_pinned_psi``.
+    def _half_band(self, lo: int, hi: int, reverse: bool, p, v, wmu):
+        """The Numerov rows lo..hi at E0 = 1, less their E terms.
 
         Band layout of ``zgbtrf`` with kl = ku = nb + 1, one column per
         (grid point, block); psi = 0 one point past each end.  ``reverse``
@@ -274,22 +203,23 @@ class CoupledSystem:
         recursion, which reads W at the corner like at any point;
         ``determinant`` overwrites row c with the corner stencil.
 
-        E enters only the diagonal of the diagonal blocks, on the band rows
-        mid - nb, mid and mid + nb (psi_{k+1}, psi_k, psi_{k-1}); those rows
-        are left empty.  Returns the band, the template's constant terms
-        (1, -2, 1) and factors p_k (1, 10, 1) of W for those rows
-        (``erows``), and the potential V at each column's point, from which
-        ``_pinned_psi`` forms 2M (V - E).
+        E and omega enter only the diagonal of the diagonal blocks, on the
+        band rows mid - nb, mid and mid + nb (psi_{k+1}, psi_k, psi_{k-1});
+        those rows are left empty.  Returns the band, the constant terms
+        (1, -2, 1) and factors p_k (1, 10, 1) of 2M (V - E) for those rows
+        (``erows``), and the field-free V - reference and the photon number
+        n at each column, from which a system forms V.
         """
         nb = len(self.blocks)
         kb = hi - lo + 1
         kl = nb + 1
         mid = 2 * kl                          # band row of the main diagonal
-        p = self._p[lo: hi + 1]
-        v = np.stack([vd[lo - 1: hi + 2] for vd in self._vdiag])
-        wo = self._woff[lo - 1: hi + 2]
+        p = p[lo: hi + 1]
+        v = v[:, lo - 1: hi + 2]
+        wo = wmu[lo - 1: hi + 2]
+        n = self.n
         if reverse:
-            p, v, wo = p[::-1], v[::-1, ::-1], wo[::-1]
+            p, v, wo, n = p[::-1], v[::-1, ::-1], wo[::-1], n[::-1]
 
         band = np.zeros((3 * kl + 1, nb, kb), dtype=complex, order="F")
 
@@ -314,48 +244,103 @@ class CoupledSystem:
                 if 0 <= j < nb:
                     for dk, coef in off:
                         put(dk, i, j, coef)
-        return (band.reshape(3 * kl + 1, nb * kb, order="F"), *erows,
-                v[:, 1:-1].ravel(order="F"))
+        pp = np.concatenate([[0.0], p, [0.0]])
+        pw = np.repeat([pp[:-2], 10.0 * pp[1:-1], pp[2:]], nb, axis=1)
+        s = np.zeros(pw.shape)
+        s[0, nb:], s[1], s[2, :-nb] = 1.0, -2.0, 1.0
+        return _Half(band.reshape(3 * kl + 1, nb * kb, order="F"), s, pw,
+                     v[:, 1:-1].ravel(order="F"), np.tile(n, kb))
 
-    def _assemble_halves(self):
-        """Both half bands of ``determinant``, once per system.
 
-        The inward half is stored reversed, so that in both halves the
-        pinned psi = I sits past the last row and the psi that the ratios
-        need is the last point.
-        """
-        m, tpl = self.matching_index, self._tpl
-        self._outward = self._half_band(1, m, False, tpl.outward)
-        self._inward = self._half_band(m + 1, len(self._p) - 2, True, tpl.inward)
+_template = functools.lru_cache(maxsize=_TEMPLATES)(_Template)
 
+
+class CoupledSystem:
+    """Discretized coupled problem, ready for determinant evaluation.
+
+    Immutable after construction.  The bands and everything else that does
+    not depend on the field come from the shared template of (model, grid,
+    n_blocks, matching_index); a build keeps omega and E0, forms the E-row
+    potentials V + n omega - reference of both halves and W at the matching
+    pair and the corner, and checks the de Broglie resolution.  One
+    determinant evaluation costs a scaled copy of each half band, two
+    banded factorizations and two short tail solves.
+    """
+
+    def __init__(self, model: MoleculeModel, field: FieldPoint, grid: RadialGrid,
+                 n_blocks: int = 2, matching_index: int | None = None):
+        tpl = _template(model, grid, n_blocks, matching_index)
+        self.model = model
+        self.field = field
+        self.grid = grid
+        self._tpl = tpl
+        self.blocks = tpl.blocks
+        self.matching_index = tpl.matching_index
+
+        omega, self._e0 = field.omega, field.e0
+        shift = omega * tpl.n
+        spread = float(np.max(tpl.v_first + shift) - np.min(tpl.v_low + shift))
+        if tpl.h * math.sqrt(tpl.two_m * max(spread, 1e-6)) > 1.0:
+            raise GridError("grid too coarse for the de Broglie resolution "
+                            "at this energy scale")
+        self._v_out = tpl.outward.v + omega * tpl.outward.n
+        self._v_in = tpl.inward.v + omega * tpl.inward.n
+        # W at E = 0 at the points m, m + 1 and c; dW and d2W at c
+        self._w = tpl.w_free + omega * tpl.w_n + self._e0 * tpl.w_mu
+
+    # -- corner stencil ----------------------------------------------------
+    def _corner_matrices(self, w0: np.ndarray):
+        """The corner stencil's blocks (a_plus, a_minus, a_zero) for W = w0
+        at the corner."""
+        a, b = self._tpl.h, self._tpl.b
+        w1c, w2c = self._w[3], self._w[4]
+        eye = np.eye(len(self.blocks), dtype=complex)
+        pp = a * b * (b * b - a * a) / 6.0
+        qq = a * b * (a ** 3 + b ** 3) / 24.0
+        cp = a / (b * (a + b))
+        cm = -b / (a * (a + b))
+        c0 = (b - a) / (a * b)
+        pw = pp * w0 + 2.0 * qq * w1c
+        a_plus = a * eye - pw * cp
+        a_minus = b * eye - pw * cm
+        a_zero = ((a + b) * eye + 0.5 * a * b * (a + b) * w0 + pp * w1c
+                  + qq * (w2c + w0 @ w0) + pw * c0)
+        return a_plus, a_minus, a_zero
+
+    # -- determinant -------------------------------------------------------
     def determinant(self, e: complex) -> complex:
         """det(R_m - G_{m+1}^-1) at the matching point; zero at quasienergies.
 
         The Numerov rows 1..m (outward) and m+1..n-2 (inward) are solved for
         psi with psi_{m+1} = I, resp. psi_m = I, pinned; the ratios follow
-        from the solutions next to the matching point.  Each half is its
-        band from construction plus the E terms and, inward, the corner row
-        at e; it is factored once (``zgbtrf``), and psi next to the matching
-        point is read from a solve on the trailing columns of the factors.
+        from the solutions next to the matching point.  Each half is the
+        template's band scaled by E0, plus the E terms and, inward, the
+        corner row at e; it is factored once (``zgbtrf``), and psi next to
+        the matching point is read from a solve on the trailing columns of
+        the factors.
         """
+        tpl = self._tpl
         m = self.matching_index
         eye = np.eye(len(self.blocks), dtype=complex)
-        fm = eye - self._p[m] * self._wmat(m, e)
-        fm1 = eye - self._p[m + 1] * self._wmat(m + 1, e)
-        a_plus, a_minus, a_zero = self._corner_matrices(e)
-        corner = np.stack([a_minus, -a_zero, a_plus])[self._tpl.corner_mask]
-        psi_out = self._pinned_psi(self._outward, e, -fm1)
+        w = self._w[:3] - tpl.two_m * e * eye
+        fm = eye - tpl.p[m] * w[0]
+        fm1 = eye - tpl.p[m + 1] * w[1]
+        a_plus, a_minus, a_zero = self._corner_matrices(w[2])
+        corner = np.stack([a_minus, -a_zero, a_plus])[tpl.corner_mask]
+        psi_out = self._pinned_psi(tpl.outward, self._v_out, e, -fm1)
         # the inward half is stored reversed: its right-hand side and
         # solution come in reverse block order
-        psi_in = self._pinned_psi(self._inward, e, -fm[::-1], corner)[::-1]
+        psi_in = self._pinned_psi(tpl.inward, self._v_in, e, -fm[::-1],
+                                  corner)[::-1]
         r = fm1 @ np.linalg.inv(fm @ psi_out)
         g_inv = fm1 @ psi_in @ np.linalg.inv(fm)
         return complex(np.linalg.det(r - g_inv))
 
-    def _pinned_psi(self, half: tuple, e: complex, rhs: np.ndarray,
-                    corner: np.ndarray | None = None) -> np.ndarray:
-        """psi at the last point of one half band at e, for ``rhs`` (minus
-        the last rows' coupling to the pinned psi = I) on its last nb rows.
+    def _pinned_psi(self, half: _Half, v: np.ndarray, e: complex,
+                    rhs: np.ndarray, corner: np.ndarray | None = None) -> np.ndarray:
+        """psi at the last point of one half band, with E-row potentials v,
+        at e, for ``rhs`` (minus the last rows' coupling to the pinned
+        psi = I) on its last nb rows.
 
         After ``zgbtrf``, those nb unknowns depend only on the trailing
         nb + kl columns of the factors: a right-hand side that is zero above
@@ -363,13 +348,13 @@ class CoupledSystem:
         and the back substitution of the last unknowns reads only the
         trailing block of U.
         """
+        tpl = self._tpl
         nb = len(self.blocks)
         kl = nb + 1
-        band0, s, pw, v = half
-        band = band0.copy(order="F")
-        np.subtract(s, pw * (self._2m * (v - e)), out=band[self._tpl.erows])
+        band = np.multiply(half.band, self._e0, order="F")
+        np.subtract(half.s, half.pw * (tpl.two_m * (v - e)), out=band[tpl.erows])
         if corner is not None:
-            band[self._tpl.corner_rows, self._tpl.corner_cols] = corner
+            band[tpl.corner_rows, tpl.corner_cols] = corner
         lu, ipiv, info = _zgbtrf(band, kl, kl, overwrite_ab=1)
         if info != 0:
             raise ConvergenceError(f"singular banded Numerov solve (info {info})",
@@ -468,13 +453,15 @@ def ramp_resonance(model: MoleculeModel, field: FieldPoint, e_start: complex,
 
     The intensity rises in ``steps`` equal steps, I/steps .. I, at the
     wavelength of ``field``; each solve is seeded by ``extrapolate`` on the
-    ramp so far, which starts at (I = 0, e_start).  Returns the resonance
-    found at ``field``.
+    ramp so far, which starts at (I = 0, e_start).  At I = 0 the one solve
+    starts from e_start.  Returns the resonance found at ``field``.
     """
     if steps < 1:
         raise ModelError(f"steps must be at least 1, got {steps}")
     points = [(0.0, complex(e_start))]
-    for inten in np.linspace(field.intensity / steps, field.intensity, steps):
+    ramp = (np.linspace(field.intensity / steps, field.intensity, steps)
+            if field.intensity else [0.0])
+    for inten in ramp:
         system = build_system(model, FieldPoint(field.wavelength, inten), grid,
                               n_blocks=n_blocks)
         res = find_resonance(system, extrapolate(points, inten))

@@ -453,7 +453,7 @@ def key_value(pairs: dict[str, str], key: str, conv, where: str, default=None):
         return default
     try:
         return conv(pairs[key])
-    except ValueError:
+    except (TypeError, ValueError):
         raise ModelError(f"{where}: bad value {pairs[key]!r} for key {key!r}") from None
 
 

@@ -16,10 +16,12 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import floqep
-from floqep import loops
+from floqep import cli, ep, loops
+from floqep.bound_states import field_free_levels
 from floqep.cli import main
-from floqep.errors import ConvergenceError
 from floqep.ep import records_from_csv
+from floqep.errors import ConvergenceError
+from floqep.molecule import RadialGrid, load_molecule
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -123,6 +125,15 @@ class TestConfigPrecedence:
                      "--out", str(tmp_path)]) == 2
         assert "'grid.n-points'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["600", "600 660 700"])
+    def test_wrong_value_count_names_the_key(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"window = {value}\n")
+        assert main(["ep-map", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad value '{value}' for key 'window'" in err
+
     def test_read_like_a_descriptor(self, tmp_path):
         # inline comments, and keys in any case
         cfg = tmp_path / "run.cfg"
@@ -166,6 +177,15 @@ class TestResonanceCommand:
         assert main(["resonance", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "missing required" in err and "--wavelength" in err
+
+    def test_zero_intensity_is_the_field_free_level(self, tmp_path):
+        # the ramp used to put every step at I = 0 and divide by zero
+        assert main(["resonance", "--wavelength", "600", "--intensity", "0",
+                     "--v", "5", "--out", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "resonance.json").read_text())["results"]
+        level = field_free_levels(load_molecule("h2plus"), RadialGrid())[5]
+        assert res["energy_re_hartree"] == pytest.approx(level.energy, abs=1e-11)
+        assert res["width_hartree"] < 1e-12
 
 
 class TestEpWorkflow:
@@ -278,6 +298,27 @@ class TestLoopCommand:
     def test_missing_required_flags(self, tmp_path, capsys):
         assert main(["loop", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("text, column", [
+        ("pair,lambda_nm\n12-13,500\n", "intensity_1e13Wcm2"),
+        ("pair,lambda_nm,intensity_1e13Wcm2,gap_residual\n"
+         "12-13,500,high,1e-09\n", "intensity_1e13Wcm2"),
+        ("pair,lambda_nm,intensity_1e13Wcm2,gap_residual\n"
+         "12,500,0.01,1e-09\n", "pair")])
+    def test_malformed_ep_csv_rejected_before_the_loop(self, tmp_path, capsys,
+                                                       monkeypatch, text, column):
+        def no_loop(*args, **kwargs):
+            raise AssertionError("the loop ran before the markers were read")
+
+        monkeypatch.setattr(cli, "follow_resonance", no_loop)
+        eps = tmp_path / "eps.csv"
+        eps.write_text(text)
+        assert main(["loop", "--out", str(tmp_path),
+                     "--lambda0", "500", "--d-lambda", "2", "--i-max", "0.02",
+                     "--v-start", "2", "--ep-csv", str(eps)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(eps) in err and repr(column) in err
+        assert not (tmp_path / "loop.csv").exists()
+
 
 def scenario_config(tmp_path, *, v_to=(2, 2)):
     cfg = tmp_path / "scenario.cfg"
@@ -380,6 +421,20 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "n-blocks" in err
         assert not any(f.endswith(".json") for f in os.listdir(tmp_path))
+
+    @pytest.mark.parametrize("v, partner", [("-1", "0"), ("12", "12")])
+    def test_bad_level_pair_rejected_before_any_solve(self, tmp_path, capsys,
+                                                      monkeypatch, v, partner):
+        # (-1, 0) used to walk level 18 against 0, (12, 12) a level against itself
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a system was built for a bad pair")
+
+        monkeypatch.setattr(ep, "build_system", no_solve)
+        assert main(["ep-refine", "--v", v, "--v-partner", partner,
+                     "--v-plus", "1", "--lambda-guess", "600",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"pair ({v}, {partner})" in err
 
     @pytest.mark.parametrize("i_cap", ["-0.5", "0"])
     @pytest.mark.parametrize("argv", [

@@ -233,6 +233,12 @@ class TestCoalescenceSearch:
         with pytest.raises(ModelError, match="bound levels"):
             refine_ep(h2plus, cand)
 
+    @pytest.mark.parametrize("v, w", [(-1, 0), (12, 12), (3, -2), (18, 19)])
+    def test_pair_must_be_two_distinct_bound_levels(self, h2plus, v, w):
+        cand = EPCandidate(v=v, v_partner=w, v_plus=1, lambda_guess=600.0)
+        with pytest.raises(ModelError, match=rf"pair \({v}, {w}\)"):
+            refine_ep(h2plus, cand)
+
 
 class TestRefinedRecord:
     def test_frozen_coordinates(self, ep1213):

@@ -79,18 +79,33 @@ def dense_pencil(system, e0):
     row's own contour segment; the corner row is linearized in E about e0,
     so A + e0 B is exact there too.
     """
-    grid = system.grid
+    model, grid = system.model, system.grid
     n, c, nb = grid.n_points, grid.corner_index, len(system.blocks)
-    p = system._p
-    two_m = 2.0 * system.model.reduced_mass
-    vd, woff = system._vdiag, system._woff
+    # step factors of the real and the rotated segment
+    h = grid.step
+    b_step = h * cmath.exp(1j * grid.ecs_angle)
+    p = np.where(np.arange(n) > c, b_step * b_step / 12.0, h * h / 12.0)
+    two_m = 2.0 * model.reduced_mass
+    z = grid.contour()
+
+    def on_contour(crv):
+        return np.concatenate([crv(z[:c].real), crv.eval_at(z[c:])])
+
+    # V + n omega - reference of each block, and -M E0 mu off the diagonal
+    curves = {"g": model.vg_curve, "u": model.vu_curve}
+    vd = [on_contour(curves[state]) + n_ph * system.field.omega
+          - model.vg_curve.asymptote for state, n_ph in system.blocks]
+    woff = -model.reduced_mass * system.field.e0 * on_contour(model.dipole)
+    off = np.eye(nb, k=1) + np.eye(nb, k=-1)
+    w_corner = lambda e: (np.diag([two_m * (v[c] - e) for v in vd])
+                          + woff[c] * off)
     big = (n - 2) * nb
     a = np.zeros((big, big), complex)
     b = np.zeros((big, big), complex)
     idx = lambda k, blk: (k - 1) * nb + blk
-    ap, am, a0 = system._corner_matrices(e0)
+    ap, am, a0 = system._corner_matrices(w_corner(e0))
     de = 1e-6
-    ap2, am2, a02 = system._corner_matrices(e0 + de)
+    ap2, am2, a02 = system._corner_matrices(w_corner(e0 + de))
     dap, dam, da0 = (ap2 - ap) / de, (am2 - am) / de, (a02 - a0) / de
     for k in range(1, n - 1):
         if k == c:
@@ -510,11 +525,8 @@ class TestTemplate:
         build_system(model, FieldPoint(640.0, 2e12), tgrid, n_blocks=nb)
         warm = build_system(model, field, tgrid, n_blocks=nb)
         assert warm._tpl is cold._tpl
-        assert warm.determinant(e) == cold.determinant(e)
-        assert warm.determinant(e + 1e-3) == cold.determinant(e + 1e-3)
-        for a, b in zip(warm._vdiag, cold._vdiag):
-            assert np.array_equal(a, b)
-        assert np.array_equal(warm._woff, cold._woff)
+        for de in (0.0, 1e-3, -2e-3 - 1e-4j):
+            assert warm.determinant(e + de) == cold.determinant(e + de)
 
     def test_curves_are_evaluated_once_per_key(self, toy, monkeypatch):
         _, tgrid, _ = toy
@@ -531,10 +543,13 @@ class TestTemplate:
                 return inner(z)
 
             monkeypatch.setattr(crv, "eval_at", counted)
-        for k in range(10):
-            build_system(model, FieldPoint(600.0 + k, (1 + k) * 1e12), tgrid)
+        # one template per block count; four blocks hold each state twice
+        for nb in (2, 4):
+            for k in range(10):
+                build_system(model, FieldPoint(600.0 + k, (1 + k) * 1e12), tgrid,
+                             n_blocks=nb)
         assert {name: n[0] for name, n in counts.items()} == {
-            "vg_curve": 1, "vu_curve": 1, "dipole": 1}
+            "vg_curve": 2, "vu_curve": 2, "dipole": 2}
 
     def test_equal_fingerprints_do_not_share(self, toy):
         model, tgrid, _ = toy
@@ -546,8 +561,9 @@ class TestTemplate:
         assert a._tpl is not b._tpl
         floquet._template.cache_clear()
         cold = build_system(deeper, field, tgrid)
-        assert np.array_equal(b._vdiag[0], cold._vdiag[0])
-        assert not np.array_equal(a._vdiag[0], b._vdiag[0])
+        e = -0.05 - 1e-4j
+        assert b.determinant(e) == cold.determinant(e)
+        assert a.determinant(e) != b.determinant(e)
 
     def test_late_tail_rejected_on_every_build(self, h2plus):
         r = np.linspace(0.3, 30.0, 200)
