@@ -40,7 +40,7 @@ from .cache import SolveCache
 from .ep import (DIAGNOSTIC_INTENSITY, EPCandidate, EPRecord, approximate_eps,
                  cluster_bands, records_from_csv, records_to_csv, refine_ep)
 from .errors import ContinuationError, ConvergenceError, GridError, ModelError
-from .floquet import classify_resonance, ramp_resonance
+from .floquet import build_system, classify_resonance, ramp_resonance
 from .loops import LoopSpec, follow_resonance, run_scenario, trajectory_to_csv
 from .molecule import (FieldPoint, RadialGrid, adiabatic_potentials, key_value,
                        load_molecule, parse_key_values)
@@ -100,6 +100,20 @@ def _require(args, *names):
 
 # ------------------------------------------------------------- commands
 
+def _cached(path, key, compute):
+    """The record of ``key`` in the solve cache at ``path``, from
+    ``compute()`` and stored on a miss; returns the record with its
+    ``from_cache`` flag, and the summary tag of a hit."""
+    cache = SolveCache(path)
+    rec = cache.get(key)
+    cached = rec is not None
+    if not cached:
+        rec = compute()
+        cache.put(key, rec)
+        cache.flush()
+    return {**rec, "from_cache": cached}, " [cache]" if cached else ""
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -112,6 +126,9 @@ def cmd_levels(args, model, grid):
     and the crossing-diagram overlay."""
     if args.lambda_step <= 0:
         raise ModelError(f"--lambda-step must be positive, got {args.lambda_step}")
+    if args.curve_intensity <= 0:
+        raise ModelError(f"--curve-intensity must be positive (W/cm^2), "
+                         f"got {args.curve_intensity}")
     levels = vibrational_levels(model.vg_curve, model.reduced_mass, args.v_max,
                                 r_min=grid.r_min, r_max=grid.r_max,
                                 n_points=grid.n_points)
@@ -196,13 +213,11 @@ def cmd_resonance(args, model, grid):
     """One Floquet resonance, continued in intensity from the field-free
     level."""
     _require(args, "wavelength", "intensity", "v")
-    cache = SolveCache(args.cache)
     key = SolveCache.key(model, grid, "resonance",
                          wavelength=args.wavelength, intensity=args.intensity,
                          v=args.v, n_blocks=args.n_blocks, steps=args.steps)
-    rec = cache.get(key)
-    cached = rec is not None
-    if not cached:
+
+    def solve():
         levels = field_free_levels(model, grid)
         if not 0 <= args.v < len(levels):
             raise ModelError(f"v={args.v} outside the {len(levels)} "
@@ -210,18 +225,17 @@ def cmd_resonance(args, model, grid):
         field = FieldPoint(args.wavelength, args.intensity)
         res = ramp_resonance(model, field, levels[args.v].energy, args.steps,
                              grid, n_blocks=args.n_blocks)
-        rec = {"energy_re_hartree": res.energy.real,
-               "energy_im_hartree": res.energy.imag,
-               "width_hartree": res.width,
-               "width_invcm": res.width_invcm,
-               "character": classify_resonance(model, field, res.energy, grid,
-                                               args.n_blocks),
-               "residual": abs(res.residual)}
-        cache.put(key, rec)
-        cache.flush()
+        system = build_system(model, field, grid, args.n_blocks)
+        return {"energy_re_hartree": res.energy.real,
+                "energy_im_hartree": res.energy.imag,
+                "width_hartree": res.width,
+                "width_invcm": res.width_invcm,
+                "character": classify_resonance(model, field, res.energy, grid,
+                                                args.n_blocks),
+                "residual": abs(system.determinant(res.energy))}
 
-    tag = " [cache]" if cached else ""
-    return ({**rec, "from_cache": cached},
+    rec, tag = _cached(args.cache, key, solve)
+    return (rec,
             f"E = {rec['energy_re_hartree']:.10g} hartree, "
             f"Gamma = {rec['width_invcm']:.6g} cm^-1 ({rec['character']}){tag}",
             0)
@@ -265,6 +279,8 @@ def _refine_worker(args):
 def cmd_ep_map(args, model, grid):
     """Locate and refine every coalescence seeded inside the window."""
     _check_refine_options(args)
+    if args.jobs < 1:
+        raise ModelError(f"--jobs must be at least 1, got {args.jobs}")
     cache = SolveCache(args.cache)
     lo, hi = args.window
     cands = approximate_eps(model, range(args.v_max + 1),
@@ -321,18 +337,11 @@ def cmd_ep_refine(args, model, grid):
     partner = args.v_partner if args.v_partner is not None else args.v + 1
     cand = EPCandidate(v=args.v, v_partner=partner, v_plus=args.v_plus,
                        lambda_guess=args.lambda_guess)
-    cache = SolveCache(args.cache)
-    key = _ep_key(model, grid, args, cand)
-    rec = cache.get(key)
-    cached = rec is not None
-    if not cached:
-        rec = refine_ep(model, cand, grid, n_blocks=args.n_blocks,
-                        i_cap=args.i_cap).to_dict()
-        cache.put(key, rec)
-        cache.flush()
-
-    tag = " [cache]" if cached else ""
-    return ({**rec, "from_cache": cached},
+    rec, tag = _cached(
+        args.cache, _ep_key(model, grid, args, cand),
+        lambda: refine_ep(model, cand, grid, n_blocks=args.n_blocks,
+                          i_cap=args.i_cap).to_dict())
+    return (rec,
             f"EP({cand.v},{cand.v_partner}) at lambda = "
             f"{rec['lambda_nm']:.6f} nm, I = "
             f"{rec['intensity_1e13Wcm2']:.6f} x10^13 W/cm^2 "

@@ -26,8 +26,7 @@ import numpy as np
 
 from .bound_states import adiabatic_levels, field_free_levels, vibrational_levels
 from .errors import ConvergenceError, ModelError
-from .floquet import (build_system, continuation, extrapolate, find_resonance,
-                      step_character)
+from .floquet import build_system, continuation, extrapolate, find_resonance
 from .molecule import FieldPoint, MoleculeModel, RadialGrid, key_value
 from .units import INTENSITY_UNIT
 
@@ -89,29 +88,6 @@ class EPRecord:
                    gap_residual=d["gap_residual"],
                    e_ep=complex(d["e_ep"][0], d["e_ep"][1]),
                    v_plus=d.get("v_plus"))
-
-
-@dataclass
-class SideScan:
-    """Intensity-scan summary on one side of an EP."""
-
-    wavelength: float
-    re_crossings: int
-    width_crossings: int
-    min_width_split: float
-    characters: tuple[str, str]
-
-
-@dataclass
-class SignatureReport:
-    """Crossing/tweezer verification of a refined EP."""
-
-    ep: EPRecord
-    side_low: SideScan
-    side_high: SideScan
-    interchanged: bool
-    contaminated: bool
-    valid: bool
 
 
 def cplus_minimum_wavelength(model: MoleculeModel) -> float:
@@ -328,66 +304,6 @@ def refine_ep(model: MoleculeModel, candidate: EPCandidate,
     return EPRecord(pair=(candidate.v, candidate.v_partner),
                     lambda_ep=lam, intensity_ep=inten, gap_residual=gap,
                     e_ep=e_ep, v_plus=candidate.v_plus)
-
-
-def verify_signature(model: MoleculeModel, ep: EPRecord, *, grid=None,
-                     n_blocks=2, neighbors=()) -> SignatureReport:
-    """Check the crossing/tweezer signature on either side of an EP.
-
-    Scans intensity through the EP at lambda_ep -/+ 0.05 nm.  A valid EP
-    shows the real parts crossing on exactly one side with the widths
-    avoiding (tweezer), and the mirrored pattern on the other side.  The
-    characters come from stepping the tracked pair a little past the scan
-    top, which keeps branch identity where independent probes would hop.
-    The report is flagged contaminated when the scan cannot isolate this
-    EP: a record in neighbors shares a branch and sits within 0.05 nm, a
-    side shows more than one crossing, or the pair tracking itself
-    collides.
-    """
-    i_lo = max(0.25 * ep.intensity_ep, 1e-3)
-    i_hi = 1.7 * ep.intensity_ep
-    crowded = any(n is not ep
-                  and set(n.pair) & set(ep.pair)
-                  and abs(n.lambda_ep - ep.lambda_ep) <= 0.05
-                  and n.intensity_ep <= i_hi
-                  for n in neighbors)
-
-    def scan(lam):
-        intensities = [*np.linspace(i_lo, i_hi, 25), 1.02 * i_hi]
-        pairs = list(_walk_pair(model, ep.pair, lam, intensities, grid, n_blocks))
-        gap = np.array([e1 - e2 for e1, e2 in pairs[:-1]])
-        chars = tuple(step_character(e, p) for e, p in zip(pairs[-2], pairs[-1]))
-        re_x = int(np.sum(np.diff(np.sign(gap.real)) != 0))
-        w_x = int(np.sum(np.diff(np.sign(gap.imag)) != 0))
-        return SideScan(wavelength=lam, re_crossings=re_x, width_crossings=w_x,
-                        min_width_split=float(np.min(np.abs(gap.imag))),
-                        characters=chars)
-
-    collided = False
-    sides = []
-    for lam in (ep.lambda_ep - 0.05, ep.lambda_ep + 0.05):
-        try:
-            sides.append(scan(lam))
-        except ConvergenceError:
-            collided = True
-            sides.append(SideScan(wavelength=lam, re_crossings=0,
-                                  width_crossings=0, min_width_split=math.inf,
-                                  characters=("Unclassified", "Unclassified")))
-    low, high = sides
-    contaminated = (crowded or collided
-                    or low.re_crossings + low.width_crossings > 2
-                    or high.re_crossings + high.width_crossings > 2)
-    crossing_side = None
-    for a, b in ((low, high), (high, low)):
-        if a.re_crossings == 1 and a.width_crossings == 0 \
-                and b.re_crossings == 0 and b.width_crossings == 1:
-            crossing_side = a
-    interchanged = (low.characters == high.characters[::-1]
-                    and low.characters[0] != low.characters[1])
-    valid = crossing_side is not None and not contaminated
-    return SignatureReport(ep=ep, side_low=low, side_high=high,
-                           interchanged=interchanged,
-                           contaminated=contaminated, valid=valid)
 
 
 def cluster_bands(records) -> list[list[EPRecord]]:

@@ -49,7 +49,6 @@ __all__ = [
     "extrapolate",
     "find_resonance",
     "ramp_resonance",
-    "step_character",
 ]
 
 _DE_TOL = 1e-12        # secant convergence on |dE|
@@ -66,12 +65,10 @@ _TEMPLATES = 1
 
 @dataclass(frozen=True)
 class Resonance:
-    """One complex quasienergy E = E_R - i Gamma/2; ``residual`` is
-    |matching determinant| at convergence."""
+    """One complex quasienergy E = E_R - i Gamma/2."""
 
     energy: complex
     width: float
-    residual: float = 0.0
 
     def __post_init__(self):
         if self.width < 0:
@@ -385,7 +382,8 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *,
     step falls below 1e-12, or once a step below 1e-8 fails to halve the one
     before it: the secant converges superlinearly there, so each step is far
     below half the previous one, and a step that does not halve is the
-    rounding noise of the determinant, not progress.
+    rounding noise of the determinant, not progress.  Both rules read the
+    step just computed, so the returned iterate is never evaluated.
     """
 
     def f(e: complex) -> complex:
@@ -393,10 +391,6 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *,
         for r in deflate:
             d /= (e - r)
         return d
-
-    def undeflated(e, fe):
-        # |determinant| at e from the deflated value fe
-        return abs(fe) * math.prod(abs(e - r) for r in deflate)
 
     e0 = complex(e_guess)
     e1 = e0 + 1e-9
@@ -412,22 +406,23 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *,
         size = abs(step)
         if size > _MAX_STEP:
             step *= _MAX_STEP / size
-        e0, f0 = e1, f1
-        e1 = e1 + step
-        f1 = f(e1)
         floor = 0.5 * last <= size < _FLOOR_STEP
         last = size
         if size < _DE_TOL or floor:
-            if e1.imag > _IM_TOL:
+            e = e1 + step
+            if e.imag > _IM_TOL:
                 raise ConvergenceError(
-                    f"converged to the unphysical sheet (Im E = {e1.imag:.3e})",
-                    last_value=e1)
-            energy = complex(e1.real, min(e1.imag, 0.0))
-            return Resonance(energy=energy, width=-2.0 * energy.imag,
-                             residual=undeflated(e1, f1))
+                    f"converged to the unphysical sheet (Im E = {e.imag:.3e})",
+                    last_value=e)
+            energy = complex(e.real, min(e.imag, 0.0))
+            return Resonance(energy=energy, width=-2.0 * energy.imag)
+        e0, f0 = e1, f1
+        e1 = e1 + step
+        f1 = f(e1)
     raise ConvergenceError(
         f"no quasienergy within {_MAX_SECANT} secant iterations "
-        f"(last |dE| = {last:.3e}, |D| = {undeflated(e1, f1):.3e})",
+        f"(last |dE| = {last:.3e}, "
+        f"|D| = {abs(f1) * math.prod(abs(e1 - r) for r in deflate):.3e})",
         iterations=_MAX_SECANT, last_value=e1)
 
 
@@ -500,34 +495,25 @@ def continuation(points: list, targets, step):
         yield points[-1][1]
 
 
-def step_character(e: complex, stepped: complex) -> str:
-    """Feshbach/Shape character from how a resonance energy moves when the
-    intensity is stepped up (e before, stepped after the step).
-
-    Feshbach: position rises and width (-2 Im E) shrinks; Shape: the
-    opposite; anything mixed (the near-coalescence regime) is Unclassified.
-    """
-    de = stepped.real - e.real
-    dw = -2.0 * (stepped.imag - e.imag)
-    if de > 0 and dw < 0:
-        return "Feshbach"
-    if de < 0 and dw > 0:
-        return "Shape"
-    return "Unclassified"
-
-
 def classify_resonance(model: MoleculeModel, field: FieldPoint, energy: complex,
                        grid: RadialGrid | None = None, n_blocks: int = 2) -> str:
-    """Feshbach/Shape character (see step_character) of the resonance at
-    ``energy`` under an intensity step of max(2 %, 1e9 W/cm^2); Unclassified
-    when the probe step cannot be tracked.
+    """Feshbach/Shape character of the resonance at ``energy`` from how it
+    moves under an intensity step of max(2 %, 1e9 W/cm^2).
+
+    Feshbach: position rises and width (-2 Im E) shrinks; Shape: the
+    opposite; anything mixed (the near-coalescence regime), or a probe step
+    that cannot be tracked, is Unclassified.
     """
     stepped = build_system(
         model, FieldPoint(field.wavelength,
                           field.intensity + max(0.02 * field.intensity, 1e9)),
         grid, n_blocks)
     try:
-        res2 = find_resonance(stepped, energy)
+        moved = find_resonance(stepped, energy).energy - energy
     except ConvergenceError:
         return "Unclassified"
-    return step_character(energy, res2.energy)
+    if moved.real > 0 and moved.imag > 0:
+        return "Feshbach"
+    if moved.real < 0 and moved.imag < 0:
+        return "Shape"
+    return "Unclassified"

@@ -7,6 +7,7 @@ engine test modules.
 """
 
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -21,7 +22,8 @@ from floqep.bound_states import field_free_levels
 from floqep.cli import main
 from floqep.ep import records_from_csv
 from floqep.errors import ConvergenceError
-from floqep.molecule import RadialGrid, load_molecule
+from floqep.floquet import build_system
+from floqep.molecule import FieldPoint, RadialGrid, load_molecule
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -64,6 +66,16 @@ class TestLevelsCommand:
                      "--lambda-min", "500", "--lambda-max", "600",
                      "--lambda-step", step]) == 2
         assert "--lambda-step must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "levels.json").exists()
+
+    @pytest.mark.parametrize("intensity", ["0", "-1000"])
+    def test_non_positive_curve_intensity_rejected(self, tmp_path, capsys,
+                                                   intensity):
+        assert main(["levels", "--out", str(tmp_path),
+                     "--lambda-min", "600", "--lambda-max", "700",
+                     "--curve-intensity", intensity]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--curve-intensity" in err
         assert not (tmp_path / "levels.json").exists()
 
     def test_curve_scan_and_svg(self, tmp_path):
@@ -172,6 +184,13 @@ class TestResonanceCommand:
             doc["results"]["energy_re_hartree"]
         assert "[cache]" in capsys.readouterr().out
         assert "[cache]" not in first_out
+
+        # the residual is |D| at the reported energy
+        res = doc["results"]
+        system = build_system(load_molecule("h2plus"), FieldPoint(
+            float(self.WAVELENGTH), float(self.INTENSITY)))
+        energy = complex(res["energy_re_hartree"], res["energy_im_hartree"])
+        assert res["residual"] == abs(system.determinant(energy))
 
     def test_missing_required_flags(self, tmp_path, capsys):
         assert main(["resonance", "--out", str(tmp_path)]) == 2
@@ -447,8 +466,25 @@ class TestErrorExits:
         assert err.startswith("error:") and "i-cap" in err
         assert "10^13 W/cm^2" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected_before_the_scan(self, tmp_path, capsys,
+                                                     monkeypatch, jobs):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the candidate scan ran")
+
+        monkeypatch.setattr(cli, "approximate_eps", no_scan)
+        assert main(["ep-map", "--jobs", jobs, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--jobs" in err
+
 
 class TestStartUp:
+    @pytest.mark.parametrize("module", ["floqep", "floqep.floquet",
+                                        "floqep.bound_states", "floqep.molecule"])
+    def test_every_exported_name_exists(self, module):
+        mod = importlib.import_module(module)
+        assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
     def test_cli_import_leaves_out_scipy_interpolate(self):
         # scipy.interpolate alone costs about 0.1 s and 23 MB at start-up
         code = "import sys, floqep.cli; print('scipy.interpolate' in sys.modules)"

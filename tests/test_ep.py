@@ -16,7 +16,6 @@ from floqep.ep import (
     records_from_csv,
     records_to_csv,
     refine_ep,
-    verify_signature,
 )
 from floqep.errors import ConvergenceError, ModelError
 from floqep.floquet import CoupledSystem, build_system, find_resonance
@@ -267,27 +266,6 @@ class TestRefinedRecord:
         with pytest.raises(ModelError, match="positive"):
             EPRecord(pair=(1, 2), lambda_ep=600.0, intensity_ep=0.0,
                      gap_residual=0.0, e_ep=0j)
-
-
-class TestSignature:
-    def test_crossing_and_tweezer_sides(self, h2plus, ep1213):
-        rep = verify_signature(h2plus, ep1213)
-        assert rep.valid
-        assert not rep.contaminated
-        assert rep.interchanged
-        sides = {(rep.side_low.re_crossings, rep.side_low.width_crossings),
-                 (rep.side_high.re_crossings, rep.side_high.width_crossings)}
-        assert sides == {(1, 0), (0, 1)}
-        assert set(rep.side_low.characters) == {"Feshbach", "Shape"}
-        assert rep.side_low.characters == rep.side_high.characters[::-1]
-
-    def test_neighbor_contaminates(self, h2plus, ep1213):
-        intruder = EPRecord(pair=(13, 14), lambda_ep=ep1213.lambda_ep + 0.01,
-                            intensity_ep=ep1213.intensity_ep,
-                            gap_residual=0.0, e_ep=0j)
-        rep = verify_signature(h2plus, ep1213, neighbors=[ep1213, intruder])
-        assert rep.contaminated
-        assert not rep.valid
 
 
 class TestSerialization:

@@ -411,6 +411,26 @@ class TestSecantFloor:
         assert abs(res.energy - (-0.029008004976 - 0.005703735972j)) < 1e-9
         assert counted.calls <= 10
 
+    def test_returned_energy_is_never_evaluated(self, h2plus, grid, free_levels,
+                                                monkeypatch):
+        # both stop rules read the step just computed, so the solve returns
+        # the next iterate without paying a determinant for it
+        seen = []
+        det = floquet.CoupledSystem.determinant
+
+        def spy(self, e):
+            seen.append(e)
+            return det(self, e)
+
+        monkeypatch.setattr(floquet.CoupledSystem, "determinant", spy)
+        system = build_system(h2plus, FieldPoint(788.2, 1e10), grid)
+        r1 = find_resonance(system, free_levels[12].energy)
+        n1 = len(seen)
+        r2 = find_resonance(system, free_levels[13].energy, deflate=(r1.energy,))
+        assert r1.energy not in seen[:n1]
+        assert r2.energy not in seen[n1:]
+        assert abs(r1.energy - r2.energy) > 1e-4
+
 
 class TestClassification:
     def test_characters_across_the_crossing(self, h2plus, grid, free_levels):
@@ -422,6 +442,29 @@ class TestClassification:
         for v, want in expected.items():
             res = ramp_resonance(h2plus, field, free_levels[v].energy, 8, grid)
             assert classify_resonance(h2plus, field, res.energy, grid) == want
+
+    @pytest.mark.parametrize("moved, want", [
+        (1e-6 + 1e-7j, "Feshbach"),         # rises and narrows
+        (-1e-6 - 1e-7j, "Shape"),           # falls and broadens
+        (1e-6 - 1e-7j, "Unclassified"),     # rises and broadens
+        (-1e-6 + 1e-7j, "Unclassified"),    # falls and narrows
+        (None, "Unclassified"),             # the probe solve fails
+    ])
+    def test_rule_on_stepped_energies(self, h2plus, grid, monkeypatch, moved,
+                                      want):
+        energy = -0.012 - 1e-5j
+        field = FieldPoint(700.0, 1e12)
+
+        def stepped(system, e_guess, **kwargs):
+            assert e_guess == energy
+            assert system.field.intensity == pytest.approx(1.02e12)
+            if moved is None:
+                raise ConvergenceError("probe step lost")
+            e = e_guess + moved
+            return Resonance(energy=e, width=-2.0 * e.imag)
+
+        monkeypatch.setattr(floquet, "find_resonance", stepped)
+        assert classify_resonance(h2plus, field, energy, grid) == want
 
 
 class ToyStep:
