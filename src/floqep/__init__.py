@@ -7,7 +7,6 @@ from .molecule import (
     MoleculeModel,
     RadialGrid,
     adiabatic_potentials,
-    dressed_diabatic,
     load_molecule,
 )
 
@@ -22,7 +21,6 @@ __all__ = [
     "MoleculeModel",
     "RadialGrid",
     "adiabatic_potentials",
-    "dressed_diabatic",
     "load_molecule",
     "__version__",
 ]

@@ -104,7 +104,7 @@ class _Shooter:
         out = self._boundary_value(f, 1, m0 + 1, 0.0, 1.0)
         inw = self._boundary_value(f, m0, self.n - 2, 1.0, 0.0)
         if out[1] == 0.0 or inw[-2] == 0.0:
-            raise ConvergenceError("a shooting branch underflowed at its wall", last_value=e)
+            raise ConvergenceError("a shooting branch underflowed at its wall")
         out = out / out[1]
         inw = inw / inw[-2]     # inw[j] lives on grid index m0 - 1 + j
 
@@ -116,7 +116,7 @@ class _Shooter:
                 m, best_w = mm, w
         po, pi = out[m], inw[m - m0 + 1]
         if po == 0.0 or pi == 0.0:
-            raise ConvergenceError("matching point fell on a node", last_value=e)
+            raise ConvergenceError("matching point fell on a node")
 
         phi_out = out[: m + 1] / po
         phi_in = inw[m - m0 + 1:] / pi
@@ -136,8 +136,7 @@ class _Shooter:
         lo, hi = e_lo, e_hi
         klo, khi = self.count_nodes(lo), self.count_nodes(hi)
         if not klo <= v_target < khi:
-            raise ConvergenceError(f"level {v_target} not inside the bracket",
-                                   last_value=lo)
+            raise ConvergenceError(f"level {v_target} not inside the bracket")
         # shrink until the bracket holds a single eigenvalue
         while not (klo == v_target and khi == v_target + 1):
             mid = 0.5 * (lo + hi)
@@ -147,8 +146,7 @@ class _Shooter:
             else:
                 hi, khi = mid, k
             if hi - lo < 1e-15 * max(1.0, abs(lo)):
-                raise ConvergenceError(f"bracket collapsed for level {v_target}",
-                                       last_value=mid)
+                raise ConvergenceError(f"bracket collapsed for level {v_target}")
 
         e = 0.5 * (lo + hi)
         prev = math.inf
@@ -176,8 +174,7 @@ class _Shooter:
             if abs(de) >= 0.5 * prev and abs(de) < 1e3 * _ETOL * max(1.0, abs(e)):
                 return e
             prev = abs(de)
-        raise ConvergenceError(f"level {v_target} did not converge", iterations=_MAX_NEWTON,
-                               last_value=e)
+        raise ConvergenceError(f"level {v_target} did not converge")
 
 
 def _domain(potential, r_min, r_max):
@@ -240,8 +237,7 @@ def vibrational_levels(potential, mass: float, v_max: int | None = None, *,
                 break
             cap = floor + 2.0 * (cap - floor)
         else:
-            raise ConvergenceError(f"could not bracket {v_max + 1} box levels",
-                                   last_value=cap)
+            raise ConvergenceError(f"could not bracket {v_max + 1} box levels")
 
     want = n_bound if v_max is None else min(v_max + 1, n_bound)
     levels = []

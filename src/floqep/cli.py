@@ -129,6 +129,12 @@ def cmd_levels(args, model, grid):
     if args.curve_intensity <= 0:
         raise ModelError(f"--curve-intensity must be positive (W/cm^2), "
                          f"got {args.curve_intensity}")
+    scan = args.lambda_max > args.lambda_min
+    if scan and args.lambda_min <= 0:
+        raise ModelError(f"--lambda-min must be positive (nm) when the curve "
+                         f"scan runs, got {args.lambda_min}")
+    if args.vplus_max < 0:
+        raise ModelError(f"--vplus-max must be non-negative, got {args.vplus_max}")
     levels = vibrational_levels(model.vg_curve, model.reduced_mass, args.v_max,
                                 r_min=grid.r_min, r_max=grid.r_max,
                                 n_points=grid.n_points)
@@ -136,18 +142,15 @@ def cmd_levels(args, model, grid):
                [[lv.v, f"{lv.energy:.12g}"] for lv in levels])
 
     lam_grid = []
-    if args.lambda_max > args.lambda_min:
+    if scan:
         lam_grid = list(np.arange(args.lambda_min,
                                   args.lambda_max + 0.5 * args.lambda_step,
                                   args.lambda_step))
     curves = {}
     rows = []
     for lam in lam_grid:
-        try:
-            ls = adiabatic_levels(model, FieldPoint(lam, args.curve_intensity),
-                                  args.vplus_max)
-        except ModelError:
-            continue
+        ls = adiabatic_levels(model, FieldPoint(lam, args.curve_intensity),
+                              args.vplus_max)
         for lv in ls:
             rows.append([f"{lam:.12g}", lv.v, f"{lv.energy:.12g}"])
             curves.setdefault(lv.v, []).append((lam, lv.energy))
@@ -276,15 +279,32 @@ def _refine_worker(args):
     return _refine(load_molecule(origin), cand, grid, n_blocks, i_cap)
 
 
+def _refinements(args, model, grid, todo):
+    """The _refine result of each (key, candidate) of ``todo``, in order and
+    as each arrives; with --jobs > 1 from a process pool that stays open
+    while they are consumed."""
+    if args.jobs > 1 and todo:
+        work = [(model.origin, cand, grid, args.n_blocks, args.i_cap)
+                for _, cand in todo]
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            yield from pool.map(_refine_worker, work)
+    else:
+        for _, cand in todo:
+            yield _refine(model, cand, grid, args.n_blocks, args.i_cap)
+
+
 def cmd_ep_map(args, model, grid):
     """Locate and refine every coalescence seeded inside the window."""
     _check_refine_options(args)
     if args.jobs < 1:
         raise ModelError(f"--jobs must be at least 1, got {args.jobs}")
+    for flag, value in (("--v-max", args.v_max), ("--vplus-max", args.vplus_max)):
+        if value < 0:
+            raise ModelError(f"{flag} must be non-negative, got {value}")
     cache = SolveCache(args.cache)
     lo, hi = args.window
     cands = approximate_eps(model, range(args.v_max + 1),
-                            range(args.vplus_max + 1), (lo, hi))
+                            range(args.vplus_max + 1), (lo, hi), grid)
     records, todo = [], []
     for cand in cands:
         key = _ep_key(model, grid, args, cand)
@@ -295,25 +315,18 @@ def cmd_ep_map(args, model, grid):
             records.append(EPRecord.from_dict(rec))
     n_hits = len(records)
 
-    # workers only compute; cache and file writes stay in this process
-    if args.jobs > 1 and todo:
-        work = [(model.origin, cand, grid, args.n_blocks, args.i_cap)
-                for _, cand in todo]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_refine_worker, work))
-    else:
-        results = (_refine(model, cand, grid, args.n_blocks, args.i_cap)
-                   for _, cand in todo)
+    # workers only compute; cache and file writes stay in this process, and
+    # each record is on disk as soon as it arrives, so a stopped map resumes
     failures = []
-    for (key, cand), result in zip(todo, results):
+    for (key, cand), result in zip(todo, _refinements(args, model, grid, todo)):
         if isinstance(result, EPRecord):
             records.append(result)
             cache.put(key, result.to_dict())
+            cache.flush()
         else:
             failures.append((cand, result))
             log.warning("refinement failed for pair (%d,%d) v+=%d: %s",
                         cand.v, cand.v_partner, cand.v_plus, result)
-    cache.flush()
 
     ordered = [r for band in cluster_bands(records)
                for r in sorted(band, key=lambda r: r.pair[0])]
@@ -360,13 +373,11 @@ def cmd_loop(args, model, grid):
         traj = follow_resonance(model, spec, args.v_start, grid,
                                 n_blocks=args.n_blocks, reverse=args.reverse)
     except ContinuationError as ex:
-        if ex.partial is None:
-            raise
         traj = ex.partial
         partial = True
         print(f"warning: {ex}; writing partial outputs", file=sys.stderr)
 
-    p_end = traj.survival_at_end() if traj.samples else float("nan")
+    p_end = traj.survival_at_end()
     trajectory_to_csv(traj, os.path.join(args.out, "loop.csv"))
 
     markers = [(traj.samples[0].wavelength, traj.samples[0].intensity, "start")]
@@ -427,7 +438,6 @@ def cmd_scenario(args, model, grid):
     series = []
     t_off, p_prod = 0.0, 1.0
     for i, traj in enumerate(report.trajectories, 1):
-        traj.survival_at_end()
         ts = [t_off + t for t, _ in traj.p_nd]
         ps = [p_prod * p for _, p in traj.p_nd]
         series.append((f"loop {i}", ts, ps))

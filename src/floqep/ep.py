@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound_states import adiabatic_levels, field_free_levels, vibrational_levels
+from .bound_states import adiabatic_levels, field_free_levels
 from .errors import ConvergenceError, ModelError
 from .floquet import build_system, continuation, extrapolate, find_resonance
 from .molecule import FieldPoint, MoleculeModel, RadialGrid, key_value
@@ -95,8 +95,7 @@ def cplus_minimum_wavelength(model: MoleculeModel) -> float:
     equilibrium distance of the attractive curve."""
     from .units import PHOTON_HARTREE_NM
 
-    r = np.linspace(model.vg_curve.r_lo if np.isfinite(model.vg_curve.r_lo) else 0.3,
-                    12.0, 2001)
+    r = np.linspace(model.vg_curve.r_lo, 12.0, 2001)
     r = r[r > 0.2]
     vg = model.vg_curve.eval_at(r)
     re = r[int(np.argmin(vg))]
@@ -105,10 +104,13 @@ def cplus_minimum_wavelength(model: MoleculeModel) -> float:
 
 
 def approximate_eps(model: MoleculeModel, v_range, vplus_range,
-                    lambda_window: tuple[float, float]) -> list[EPCandidate]:
+                    lambda_window: tuple[float, float],
+                    grid: RadialGrid | None = None) -> list[EPCandidate]:
     """Coarse EP wavelengths from crossings of the two level families.
 
-    The upper-well levels are computed once per wavelength of a table at
+    The field-free levels are ``field_free_levels`` on ``grid`` (default
+    RadialGrid()), the set every pair walk starts from.  The upper-well
+    levels are computed once per wavelength of a table at
     DIAGNOSTIC_INTENSITY, _SCAN_STEP nm apart; every sign change of
     E_v - E_{v+}(lambda) in the table is located on a cubic spline through
     the table points around it, with no further level solves.  Wavelengths
@@ -125,17 +127,13 @@ def approximate_eps(model: MoleculeModel, v_range, vplus_range,
     if hi <= lo:
         return []
 
-    levels = vibrational_levels(model.vg_curve, model.reduced_mass,
-                                r_min=0.5, r_max=25.0, n_points=6001)
+    levels = field_free_levels(model, grid if grid is not None else RadialGrid())
     n_bound = len(levels)
     vmax_plus = max(vplus_range)
 
     def well_levels(lam):
-        try:
-            ls = adiabatic_levels(model, FieldPoint(lam, DIAGNOSTIC_INTENSITY),
-                                  vmax_plus)
-        except ModelError:
-            return {}
+        ls = adiabatic_levels(model, FieldPoint(lam, DIAGNOSTIC_INTENSITY),
+                              vmax_plus)
         return {l.v: l.energy for l in ls}
 
     # clipped to hi, the last two points can coincide (np.vander of the
@@ -204,11 +202,9 @@ def _walk_pair(model, pair, lam, intensities, grid, n_blocks):
         if np.abs(found[::-1] - guess).sum() < np.abs(found - guess).sum():
             found = found[::-1]
         if abs(found[0] - found[1]) < 1e-13:
-            raise ConvergenceError("resonances lost identity during "
-                                   "continuation", last_value=found[0])
+            raise ConvergenceError("resonances lost identity during continuation")
         if np.abs(found - points[-1][1]).max() > _MAX_JUMP:
-            raise ConvergenceError("branch moved too far in one step",
-                                   last_value=found[0])
+            raise ConvergenceError("branch moved too far in one step")
         return found
 
     start = np.array([levels[v].energy, levels[w].energy], dtype=complex)
@@ -256,18 +252,16 @@ def find_double_root(det_at, e0, lam0, i0, radius):
             dx = np.linalg.solve(np.vstack([jac.real, jac.imag]),
                                  -np.array([d0.real, d1.real, d0.imag, d1.imag]))
         except np.linalg.LinAlgError:
-            raise ConvergenceError("singular double-root Jacobian",
-                                   last_value=e) from None
+            raise ConvergenceError("singular double-root Jacobian") from None
         e += complex(dx[0], dx[1])
         lam += float(np.clip(dx[2], -4.0, 4.0))
         inten = max(inten + float(np.clip(dx[3], -0.04, 0.04)), 1e-4)
         if abs(e - e0) > radius:
             raise ConvergenceError(
                 f"Newton iterate left the seed pair at step {it} "
-                f"(half-gap {radius:.3e})", last_value=e)
+                f"(half-gap {radius:.3e})")
     raise ConvergenceError(f"double-root Newton stalled with gap {gap:.3e} "
-                           f"after {_NEWTON_ITERS} iterations",
-                           iterations=_NEWTON_ITERS, last_value=e)
+                           f"after {_NEWTON_ITERS} iterations")
 
 
 def refine_ep(model: MoleculeModel, candidate: EPCandidate,

@@ -12,17 +12,13 @@ class GridError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solve (root search, Newton refinement) failed to converge."""
-
-    def __init__(self, message: str, iterations: int | None = None, last_value=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.last_value = last_value
+    """Iterative solve (root search, Newton refinement) failed to converge;
+    the message carries the values that explain it."""
 
 
 class ContinuationError(RuntimeError):
     """Branch tracking lost the resonance; carries the partial trajectory."""
 
-    def __init__(self, message: str, partial=None):
+    def __init__(self, message: str, partial):
         super().__init__(message)
         self.partial = partial

@@ -354,8 +354,7 @@ class CoupledSystem:
             band[tpl.corner_rows, tpl.corner_cols] = corner
         lu, ipiv, info = _zgbtrf(band, kl, kl, overwrite_ab=1)
         if info != 0:
-            raise ConvergenceError(f"singular banded Numerov solve (info {info})",
-                                   last_value=e)
+            raise ConvergenceError(f"singular banded Numerov solve (info {info})")
         n = lu.shape[1]
         w = min(nb + kl, n)
         b = np.zeros((w, nb), dtype=complex, order="F")
@@ -412,8 +411,7 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *,
             e = e1 + step
             if e.imag > _IM_TOL:
                 raise ConvergenceError(
-                    f"converged to the unphysical sheet (Im E = {e.imag:.3e})",
-                    last_value=e)
+                    f"converged to the unphysical sheet (Im E = {e.imag:.3e})")
             energy = complex(e.real, min(e.imag, 0.0))
             return Resonance(energy=energy, width=-2.0 * energy.imag)
         e0, f0 = e1, f1
@@ -422,8 +420,7 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *,
     raise ConvergenceError(
         f"no quasienergy within {_MAX_SECANT} secant iterations "
         f"(last |dE| = {last:.3e}, "
-        f"|D| = {abs(f1) * math.prod(abs(e1 - r) for r in deflate):.3e})",
-        iterations=_MAX_SECANT, last_value=e1)
+        f"|D| = {abs(f1) * math.prod(abs(e1 - r) for r in deflate):.3e})")
 
 
 def extrapolate(points, t):
@@ -487,7 +484,7 @@ def continuation(points: list, targets, step):
                 if splits > _MAX_SPLITS:
                     raise ConvergenceError(
                         f"continuation stalled at t = {t:.6g} ({ex}); "
-                        "restart with smaller steps", iterations=splits) from ex
+                        "restart with smaller steps") from ex
                 pending.append(0.5 * (points[-1][0] + t))
                 continue
             points.append((t, roots))

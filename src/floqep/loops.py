@@ -176,8 +176,7 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
         energy = find_resonance(system, guess).energy
         miss = abs(energy - guess)
         if miss > max(_ACCEPT_FACTOR * prev_miss, _ACCEPT_FLOOR):
-            raise ConvergenceError("continuity threshold tripped",
-                                   last_value=energy)
+            raise ConvergenceError("continuity threshold tripped")
         prev_miss = max(miss, 1e-9)
         return energy
 

@@ -34,7 +34,6 @@ __all__ = [
     "RadialGrid",
     "TabulatedCurve",
     "adiabatic_potentials",
-    "dressed_diabatic",
     "exp_repulsive",
     "key_value",
     "linear_dipole",
@@ -529,16 +528,6 @@ def load_molecule(descriptor: str) -> MoleculeModel:
                           origin=str(descriptor))
     model.validate()
     return model
-
-
-def dressed_diabatic(model: MoleculeModel, field: FieldPoint, n: int, r):
-    """Field-dressed diabatic potential of the photon block n at R = r.
-
-    Blocks alternate electronic character: even n rides the g curve, odd n
-    the u curve; the block energy is shifted by n photon quanta.
-    """
-    curve = model.vg_curve if n % 2 == 0 else model.vu_curve
-    return curve(r) + n * field.omega
 
 
 def adiabatic_potentials(model: MoleculeModel, field: FieldPoint, r):

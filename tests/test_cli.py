@@ -17,10 +17,10 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import floqep
-from floqep import cli, ep, loops
+from floqep import bound_states, cli, ep, loops
 from floqep.bound_states import field_free_levels
 from floqep.cli import main
-from floqep.ep import records_from_csv
+from floqep.ep import EPCandidate, EPRecord, records_from_csv
 from floqep.errors import ConvergenceError
 from floqep.floquet import build_system
 from floqep.molecule import FieldPoint, RadialGrid, load_molecule
@@ -77,6 +77,19 @@ class TestLevelsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--curve-intensity" in err
         assert not (tmp_path / "levels.json").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--lambda-min", "-100", "--lambda-max", "-50"], "--lambda-min"),
+        (["--lambda-min", "0", "--lambda-max", "700"], "--lambda-min"),
+        (["--lambda-min", "600", "--lambda-max", "700", "--vplus-max", "-1"],
+         "--vplus-max")])
+    def test_bad_scan_input_rejected_before_any_write(self, tmp_path, capsys,
+                                                      argv, flag):
+        # each used to exit 0 with every curve point dropped
+        assert main(["levels", *argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+        assert not (tmp_path / "levels.csv").exists()
 
     def test_curve_scan_and_svg(self, tmp_path):
         assert main(["levels", "--out", str(tmp_path),
@@ -255,6 +268,59 @@ class TestEpWorkflow:
         doc = json.loads((out2 / "ep_refine.json").read_text())
         assert doc["results"]["from_cache"] is True
         assert doc["results"]["lambda_nm"] == pytest.approx(634.55, abs=0.05)
+
+
+    def test_interrupted_map_keeps_its_records_and_resumes(self, tmp_path,
+                                                           monkeypatch, capsys):
+        cands = [EPCandidate(v=12, v_partner=13, v_plus=2, lambda_guess=635.96),
+                 EPCandidate(v=13, v_partner=14, v_plus=3, lambda_guess=602.57)]
+        recs = [EPRecord(pair=(c.v, c.v_partner), lambda_ep=c.lambda_guess,
+                         intensity_ep=0.2, gap_residual=1e-9,
+                         e_ep=complex(-0.01, -1e-4), v_plus=c.v_plus)
+                for c in cands]
+        calls = []
+
+        def refine(model, cand, grid, **kwargs):
+            calls.append(cand)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return recs[cands.index(cand)]
+
+        monkeypatch.setattr(cli, "approximate_eps", lambda *args: cands)
+        monkeypatch.setattr(cli, "refine_ep", refine)
+        cache = tmp_path / "cache.json"
+        argv = ["ep-map", "--cache", str(cache), "--out", str(tmp_path)]
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert list(json.loads(cache.read_text()).values()) == [recs[0].to_dict()]
+
+        assert main(argv) == 0
+        assert "2 coalescences (1 from cache, 0 failed)" in capsys.readouterr().out
+        assert calls == [cands[0], cands[1], cands[1]]
+
+    def test_one_field_free_solve_per_map(self, tmp_path, monkeypatch):
+        # the scan reads the set the pair walks start from
+        models, potentials = [], []
+        load, solve = cli.load_molecule, bound_states.vibrational_levels
+
+        def loaded(descriptor):
+            models.append(load(descriptor))
+            return models[-1]
+
+        def counted(potential, *args, **kwargs):
+            potentials.append(potential)
+            return solve(potential, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_molecule", loaded)
+        for mod in (bound_states, ep, cli):
+            if hasattr(mod, "vibrational_levels"):
+                monkeypatch.setattr(mod, "vibrational_levels", counted)
+        bound_states.field_free_levels.cache_clear()
+        assert main(["ep-map", "--window", "600", "612", "--v-max", "13",
+                     "--vplus-max", "3", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "ep_map.json").read_text())
+        assert [r["pair"] for r in doc["results"]["records"]] == [[13, 14]]
+        assert sum(p is models[0].vg_curve for p in potentials) == 1
 
 
 class TestLoopCommand:
@@ -476,6 +542,20 @@ class TestErrorExits:
         assert main(["ep-map", "--jobs", jobs, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--jobs" in err
+
+
+    @pytest.mark.parametrize("flag", ["--v-max", "--vplus-max"])
+    def test_negative_level_bound_rejected_before_the_scan(self, tmp_path,
+                                                           capsys, monkeypatch,
+                                                           flag):
+        # each used to scan nothing and report 0 coalescences
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the candidate scan ran")
+
+        monkeypatch.setattr(cli, "approximate_eps", no_scan)
+        assert main(["ep-map", flag, "-1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
 
 
 class TestStartUp:

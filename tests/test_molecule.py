@@ -11,7 +11,6 @@ from floqep.molecule import (
     RadialGrid,
     TabulatedCurve,
     adiabatic_potentials,
-    dressed_diabatic,
     exp_repulsive,
     linear_dipole,
     load_molecule,
@@ -227,14 +226,6 @@ class TestRadialGrid:
 
 
 class TestDressing:
-    def test_block_alternation(self, h2plus):
-        f = FieldPoint(wavelength=400.0, intensity=1e13)
-        r = 2.0
-        assert dressed_diabatic(h2plus, f, 0, r) == pytest.approx(h2plus.vg_curve(r))
-        assert dressed_diabatic(h2plus, f, -1, r) == pytest.approx(h2plus.vu_curve(r) - f.omega)
-        assert dressed_diabatic(h2plus, f, 2, r) == pytest.approx(h2plus.vg_curve(r) + 2 * f.omega)
-        assert dressed_diabatic(h2plus, f, -3, r) == pytest.approx(h2plus.vu_curve(r) - 3 * f.omega)
-
     def test_adiabatic_trace_preserved(self, h2plus):
         f = FieldPoint(wavelength=600.0, intensity=5e12)
         r = np.linspace(1.0, 20.0, 500)
