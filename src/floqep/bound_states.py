@@ -20,7 +20,7 @@ from scipy.linalg.lapack import dgtsv as _dgtsv
 from .errors import ConvergenceError, ModelError
 from .molecule import FieldPoint, MoleculeModel, RadialGrid, adiabatic_potentials
 
-__all__ = ["BoundLevel", "LevelSet", "adiabatic_levels", "field_free_levels",
+__all__ = ["BoundLevel", "adiabatic_levels", "field_free_levels",
            "vibrational_levels"]
 
 _ETOL = 1e-12          # |dE| convergence for the Newton polish
@@ -35,17 +35,6 @@ class BoundLevel:
 
     v: int
     energy: float
-
-
-class LevelSet(list):
-    """List of BoundLevel with a truncation flag.
-
-    ``truncated`` is set when fewer levels exist than were requested.
-    """
-
-    def __init__(self, items=(), truncated: bool = False):
-        super().__init__(items)
-        self.truncated = truncated
 
 
 class _Shooter:
@@ -191,15 +180,15 @@ def _domain(potential, r_min, r_max):
 
 def vibrational_levels(potential, mass: float, v_max: int | None = None, *,
                        r_min: float | None = None, r_max: float | None = None,
-                       n_points: int = 12001, asymptote: float | None = None) -> LevelSet:
+                       n_points: int = 12001,
+                       asymptote: float | None = None) -> list[BoundLevel]:
     """Bound levels v = 0..v_max of a single-channel radial potential.
 
     ``potential`` is any callable of R (bohr) returning hartree; curve objects
     expose their domain and dissociation limit, otherwise pass ``asymptote``
     (energies are referenced to it, and only levels below it count as bound).
     With no finite asymptote the box spectrum is returned and ``v_max`` is
-    required.  Returns fewer levels with ``truncated`` set when the well runs
-    out of bound states.
+    required.  Returns fewer levels when the well runs out of bound states.
     """
     if mass <= 0:
         raise ModelError(f"mass must be positive, got {mass}")
@@ -227,7 +216,7 @@ def vibrational_levels(potential, mass: float, v_max: int | None = None, *,
     if asymptote is not None:
         cap = -1e-13
         if floor >= cap:
-            return LevelSet([], truncated=v_max is not None)
+            return []
         n_bound = shooter.count_nodes(cap)
     else:
         cap = max(float(vv[0]), float(vv[-1]), floor + 1.0)
@@ -246,12 +235,11 @@ def vibrational_levels(potential, mass: float, v_max: int | None = None, *,
         e = shooter.solve_level(v, lo, cap)
         levels.append(BoundLevel(v=v, energy=e))
         lo = e + max(1e-13, 1e-13 * abs(e))
-    truncated = v_max is not None and want < v_max + 1
-    return LevelSet(levels, truncated=truncated)
+    return levels
 
 
 @functools.lru_cache(maxsize=_LEVEL_SETS)
-def field_free_levels(model: MoleculeModel, grid: RadialGrid) -> LevelSet:
+def field_free_levels(model: MoleculeModel, grid: RadialGrid) -> list[BoundLevel]:
     """Every bound level of the g curve on the span and spacing of ``grid``,
     solved once per (model, grid).
 
@@ -263,7 +251,8 @@ def field_free_levels(model: MoleculeModel, grid: RadialGrid) -> LevelSet:
                               n_points=grid.n_points)
 
 
-def adiabatic_levels(model: MoleculeModel, field: FieldPoint, vplus_max: int) -> LevelSet:
+def adiabatic_levels(model: MoleculeModel, field: FieldPoint,
+                     vplus_max: int) -> list[BoundLevel]:
     """Quasi-bound levels of the upper adiabatic potential V_plus.
 
     V_plus is treated as a plain single-channel well with a box boundary at
@@ -285,5 +274,5 @@ def adiabatic_levels(model: MoleculeModel, field: FieldPoint, vplus_max: int) ->
                                   asymptote=0.0)
     except ModelError as err:
         if "no minimum" in str(err):
-            return LevelSet([], truncated=True)
+            return []
         raise

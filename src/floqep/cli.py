@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import os
 import re
 import sys
@@ -35,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .bound_states import adiabatic_levels, field_free_levels, vibrational_levels
+from .bound_states import adiabatic_levels, field_free_levels
 from .cache import SolveCache
 from .ep import (DIAGNOSTIC_INTENSITY, EPCandidate, EPRecord, approximate_eps,
                  cluster_bands, records_from_csv, records_to_csv, refine_ep)
@@ -45,8 +44,6 @@ from .loops import LoopSpec, follow_resonance, run_scenario, trajectory_to_csv
 from .molecule import (FieldPoint, RadialGrid, adiabatic_potentials, key_value,
                        load_molecule, parse_key_values)
 from .svg import ep_map_plot, line_plot
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------- config
@@ -98,6 +95,14 @@ def _require(args, *names):
                          "(set as flag or config key)")
 
 
+def _require_non_negative(args, *names):
+    for n in names:
+        value = getattr(args, n)
+        if value is not None and value < 0:
+            raise ModelError(f"--{n.replace('_', '-')} must be non-negative, "
+                             f"got {value}")
+
+
 # ------------------------------------------------------------- commands
 
 def _cached(path, key, compute):
@@ -133,11 +138,11 @@ def cmd_levels(args, model, grid):
     if scan and args.lambda_min <= 0:
         raise ModelError(f"--lambda-min must be positive (nm) when the curve "
                          f"scan runs, got {args.lambda_min}")
-    if args.vplus_max < 0:
-        raise ModelError(f"--vplus-max must be non-negative, got {args.vplus_max}")
-    levels = vibrational_levels(model.vg_curve, model.reduced_mass, args.v_max,
-                                r_min=grid.r_min, r_max=grid.r_max,
-                                n_points=grid.n_points)
+    _require_non_negative(args, "v_max", "vplus_max")
+    levels = field_free_levels(model, grid)
+    truncated = args.v_max is not None and args.v_max >= len(levels)
+    if args.v_max is not None:
+        levels = levels[:args.v_max + 1]
     _write_csv(os.path.join(args.out, "levels.csv"), ["v", "energy_hartree"],
                [[lv.v, f"{lv.energy:.12g}"] for lv in levels])
 
@@ -171,7 +176,7 @@ def cmd_levels(args, model, grid):
               title=f"{model.name}: bound levels and upper-well curves",
               x_label=x_label, y_label="E (hartree)")
 
-    results = {"n_levels": len(levels), "truncated": levels.truncated,
+    results = {"n_levels": len(levels), "truncated": truncated,
                "levels": [{"v": lv.v, "energy_hartree": lv.energy}
                           for lv in levels],
                "n_curve_points": len(rows)}
@@ -183,6 +188,7 @@ def cmd_adiabatic(args, model, grid):
     """Dressed adiabatic potentials and upper-well levels at one field
     point."""
     _require(args, "wavelength", "intensity")
+    _require_non_negative(args, "vplus_max")
     field = FieldPoint(args.wavelength, args.intensity)
     ref = model.vg_curve.asymptote
     r_lo = max(model.vg_curve.r_lo, model.vu_curve.r_lo, 0.3, grid.r_min)
@@ -298,9 +304,7 @@ def cmd_ep_map(args, model, grid):
     _check_refine_options(args)
     if args.jobs < 1:
         raise ModelError(f"--jobs must be at least 1, got {args.jobs}")
-    for flag, value in (("--v-max", args.v_max), ("--vplus-max", args.vplus_max)):
-        if value < 0:
-            raise ModelError(f"{flag} must be non-negative, got {value}")
+    _require_non_negative(args, "v_max", "vplus_max")
     cache = SolveCache(args.cache)
     lo, hi = args.window
     cands = approximate_eps(model, range(args.v_max + 1),
@@ -325,8 +329,8 @@ def cmd_ep_map(args, model, grid):
             cache.flush()
         else:
             failures.append((cand, result))
-            log.warning("refinement failed for pair (%d,%d) v+=%d: %s",
-                        cand.v, cand.v_partner, cand.v_plus, result)
+            print(f"warning: refinement failed for pair ({cand.v},"
+                  f"{cand.v_partner}) v+={cand.v_plus}: {result}", file=sys.stderr)
 
     ordered = [r for band in cluster_bands(records)
                for r in sorted(band, key=lambda r: r.pair[0])]
@@ -425,7 +429,10 @@ def cmd_scenario(args, model, grid):
                         n_steps=get("n-steps", int, args.n_steps))
         loops.append((spec, (get("v-from", int), get("v-to", int))))
 
-    report = run_scenario(model, loops, grid, n_blocks=args.n_blocks)
+    trajectories = run_scenario(model, loops, grid, n_blocks=args.n_blocks)
+    transfers = [(t.v_start, t.v_end) for t in trajectories]
+    survivals = [t.survival_at_end() for t in trajectories]
+    cumulative = float(np.prod(survivals))
 
     _write_csv(os.path.join(args.out, "scenario.csv"),
                ["loop", "v_from", "v_to", "lambda0_nm", "d_lambda_nm",
@@ -433,11 +440,11 @@ def cmd_scenario(args, model, grid):
                [[i, va, vb, f"{spec.lambda0:.12g}", f"{spec.d_lambda:.12g}",
                  f"{spec.i_max:.12g}", f"{spec.t_f:.12g}", f"{p:.12g}"]
                 for i, ((spec, _), (va, vb), p) in enumerate(
-                    zip(loops, report.transfers, report.survivals), 1)])
+                    zip(loops, transfers, survivals), 1)])
 
     series = []
     t_off, p_prod = 0.0, 1.0
-    for i, traj in enumerate(report.trajectories, 1):
+    for i, traj in enumerate(trajectories, 1):
         ts = [t_off + t for t, _ in traj.p_nd]
         ps = [p_prod * p for _, p in traj.p_nd]
         series.append((f"loop {i}", ts, ps))
@@ -446,12 +453,11 @@ def cmd_scenario(args, model, grid):
     line_plot(os.path.join(args.out, "scenario_survival.svg"), series,
               title="chained survival", x_label="t (fs)", y_label="P_ND")
 
-    results = {"transfers": [list(t) for t in report.transfers],
-               "survivals": report.survivals,
-               "cumulative": report.cumulative}
+    results = {"transfers": [list(t) for t in transfers],
+               "survivals": survivals, "cumulative": cumulative}
     return (results, f"{len(loops)} loops, transfers "
-            f"{' '.join(f'{a}->{b}' for a, b in report.transfers)}, "
-            f"cumulative P_ND = {report.cumulative:.4g}", 0)
+            f"{' '.join(f'{a}->{b}' for a, b in transfers)}, "
+            f"cumulative P_ND = {cumulative:.4g}", 0)
 
 
 # --------------------------------------------------------------- parser
@@ -478,8 +484,6 @@ def _build_parser():
         if cache:
             sp.add_argument("--cache",
                             help="JSON cache file for resumable solves")
-        sp.add_argument("--verbose", action="store_true",
-                        help="info-level logging")
         sp.add_argument("--grid.r-min", dest="grid_r_min", type=float,
                         default=g.r_min, help="grid start (bohr)")
         sp.add_argument("--grid.r-max", dest="grid_r_max", type=float,
@@ -595,10 +599,6 @@ def main(argv=None) -> int:
             _apply_config(subparsers[args.command], plain, args.config)
             args = parser.parse_args(argv)
         args.loop_sections = loop_sections
-
-        logging.basicConfig(
-            level=logging.INFO if args.verbose else logging.WARNING,
-            format="%(levelname)s %(message)s")
         model = load_molecule(args.model)
         grid = RadialGrid(args.grid_r_min, args.grid_r_max,
                           args.grid_n_points, args.grid_ecs_radius,

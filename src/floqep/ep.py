@@ -329,10 +329,8 @@ def records_to_csv(records, path):
 
 
 def records_from_csv(path):
-    """Records from records_to_csv; a file in the older layout without the
-    e_ep and v_plus columns loads with e_ep = 0 and v_plus = None.  A
-    missing column or a value that does not parse raises a ModelError that
-    names the file and the column."""
+    """Records from records_to_csv.  A missing column or a value that does
+    not parse raises a ModelError that names the file and the column."""
     def pair(text):
         v, w = text.split("-")
         return [int(v), int(w)]
@@ -340,8 +338,6 @@ def records_from_csv(path):
     out = []
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            # the older layout has no e_ep and v_plus columns
-            row = {"e_ep_re": "0", "e_ep_im": "0", "v_plus": "", **row}
             d = {k: key_value(row, k, float, path) for k in _CSV_FLOATS}
             d["pair"] = key_value(row, "pair", pair, path)
             d["e_ep"] = [key_value(row, k, float, path)

@@ -68,13 +68,15 @@ class Resonance:
     """One complex quasienergy E = E_R - i Gamma/2."""
 
     energy: complex
-    width: float
 
     def __post_init__(self):
-        if self.width < 0:
-            raise ValueError(f"width must be non-negative, got {self.width}")
         if self.energy.imag > _IM_TOL:
             raise ValueError(f"resonance on the wrong sheet: Im E = {self.energy.imag:.3e}")
+
+    @property
+    def width(self) -> float:
+        """Decay width Gamma = -2 Im E in hartree."""
+        return -2.0 * self.energy.imag
 
     @property
     def width_invcm(self) -> float:
@@ -412,8 +414,7 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *,
             if e.imag > _IM_TOL:
                 raise ConvergenceError(
                     f"converged to the unphysical sheet (Im E = {e.imag:.3e})")
-            energy = complex(e.real, min(e.imag, 0.0))
-            return Resonance(energy=energy, width=-2.0 * energy.imag)
+            return Resonance(complex(e.real, min(e.imag, 0.0)))
         e0, f0 = e1, f1
         e1 = e1 + step
         f1 = f(e1)

@@ -31,7 +31,7 @@ from .errors import ContinuationError, ConvergenceError, ModelError
 from .floquet import (build_system, classify_resonance, continuation, extrapolate,
                       find_resonance)
 from .molecule import FieldPoint, RadialGrid
-from .units import FS_PER_AU_TIME, INTENSITY_UNIT, width_to_invcm
+from .units import FS_PER_AU_TIME, HARTREE_TO_INVCM, INTENSITY_UNIT
 
 # a pulse shorter than this traverses the loop too fast for the adiabatic
 # transport picture; emit a warning but run anyway
@@ -100,12 +100,15 @@ class TrajectorySample:
     wavelength: float
     intensity: float          # 10^13 W/cm^2
     energy: complex           # hartree
-    width_invcm: float
 
     @property
     def width(self) -> float:
         """Decay width in hartree."""
         return -2.0 * self.energy.imag
+
+    @property
+    def width_invcm(self) -> float:
+        return self.width * HARTREE_TO_INVCM
 
 
 @dataclass
@@ -117,15 +120,25 @@ class Trajectory:
     v_end: int | None
     samples: list[TrajectorySample]
     characters: list[tuple[float, str]] = field(default_factory=list)
-    p_nd: list[tuple[float, float]] = field(default_factory=list)
 
     @property
     def exchanged(self) -> bool:
         return self.v_end is not None and self.v_end != self.v_start
 
+    @property
+    def p_nd(self) -> list[tuple[float, float]]:
+        """Non-dissociated fraction (t_fs, P_ND) at each sample.
+
+        Trapezoidal integration of the width over time in atomic units.
+        """
+        t = np.array([s.t_fs for s in self.samples]) / FS_PER_AU_TIME
+        g = np.array([s.width for s in self.samples])
+        if np.any(g < 0.0):
+            raise ModelError("negative width sample in trajectory")
+        acc = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))])
+        return [(s.t_fs, float(math.exp(-a))) for s, a in zip(self.samples, acc)]
+
     def survival_at_end(self) -> float:
-        if not self.p_nd:
-            survival(self)
         return self.p_nd[-1][1]
 
 
@@ -163,8 +176,7 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
         return TrajectorySample(phi=float(phi), t_fs=float(t),
                                 wavelength=fp.wavelength,
                                 intensity=fp.intensity / INTENSITY_UNIT,
-                                energy=energy,
-                                width_invcm=width_to_invcm(-2.0 * energy.imag))
+                                energy=energy)
 
     prev_miss = _ACCEPT_FLOOR
 
@@ -207,42 +219,15 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
         field_point = FieldPoint(s.wavelength, s.intensity * INTENSITY_UNIT)
         traj.characters.append(
             (s.phi, classify_resonance(model, field_point, s.energy, grid, n_blocks)))
-    survival(traj)
     return traj
 
 
-def survival(traj: Trajectory) -> list[tuple[float, float]]:
-    """Non-dissociated fraction along the trajectory.
-
-    Trapezoidal integration of the width over time in atomic units;
-    the series is attached to the trajectory and returned.
-    """
-    t = np.array([s.t_fs for s in traj.samples]) / FS_PER_AU_TIME
-    g = np.array([s.width for s in traj.samples])
-    if np.any(g < 0.0):
-        raise ModelError("negative width sample in trajectory")
-    acc = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))])
-    series = [(s.t_fs, float(math.exp(-a))) for s, a in zip(traj.samples, acc)]
-    traj.p_nd = series
-    return series
-
-
-@dataclass
-class ScenarioReport:
-    """Chained-loop comparison: per-loop transfers and survivals."""
-
-    trajectories: list[Trajectory]
-    transfers: list[tuple[int, int]]
-    survivals: list[float]
-    cumulative: float
-
-
-def run_scenario(model, loops, grid=None, *, n_blocks=2) -> ScenarioReport:
-    """Run a chain of loops, each starting where the previous ended.
+def run_scenario(model, loops, grid=None, *, n_blocks=2) -> list[Trajectory]:
+    """Run a chain of loops, each starting where the previous ended, and
+    return their trajectories.
 
     loops is an ordered list of (LoopSpec, (v_from, v_to)) with matching
     chain labels; a loop that ends on an unexpected label aborts the run.
-    Cumulative survival is the product of the per-loop end-point values.
     """
     loops = list(loops)
     if not loops:
@@ -251,24 +236,18 @@ def run_scenario(model, loops, grid=None, *, n_blocks=2) -> ScenarioReport:
         if a != b:
             raise ModelError(f"scenario chain broken: loop expects v={a} "
                              f"but previous ends at v={b}")
-    trajectories, transfers, survivals = [], [], []
+    trajectories = []
     for spec, (v_from, v_to) in loops:
         traj = follow_resonance(model, spec, v_from, grid, n_blocks=n_blocks)
         trajectories.append(traj)
-        transfers.append((traj.v_start, traj.v_end))
-        survivals.append(traj.survival_at_end())
         if traj.v_end != v_to:
             raise ConvergenceError(
-                f"loop {len(transfers)} transferred v={v_from} -> "
+                f"loop {len(trajectories)} transferred v={v_from} -> "
                 f"{traj.v_end}, expected {v_to}")
-    return ScenarioReport(trajectories=trajectories, transfers=transfers,
-                          survivals=survivals,
-                          cumulative=float(np.prod(survivals)))
+    return trajectories
 
 
 def trajectory_to_csv(traj: Trajectory, path):
-    if not traj.p_nd:
-        survival(traj)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["phi", "t_fs", "lambda_nm", "intensity_1e13",

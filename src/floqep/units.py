@@ -39,8 +39,3 @@ def field_amplitude(intensity_wcm2: float) -> float:
     if intensity_wcm2 < 0.0:
         raise ValueError(f"intensity must be non-negative, got {intensity_wcm2}")
     return math.sqrt(intensity_wcm2 / INTENSITY_AU_WCM2)
-
-
-def width_to_invcm(width_hartree: float) -> float:
-    """Resonance width, hartree to cm^-1."""
-    return width_hartree * HARTREE_TO_INVCM

@@ -22,7 +22,7 @@ from floqep.floquet import build_system, find_resonance
 from floqep.loops import (LoopSpec, Trajectory, TrajectorySample,
                           follow_resonance, run_scenario, winding_number)
 from floqep.molecule import FieldPoint, RadialGrid, load_molecule, morse_curve
-from floqep.units import FS_PER_AU_TIME, HARTREE_TO_INVCM
+from floqep.units import FS_PER_AU_TIME
 
 # coarse-scan crossing wavelengths for the v = 12..16 coalescence family,
 # frozen from the candidate stage so the refinements here are deterministic
@@ -138,9 +138,10 @@ def test_loop_survival_magnitudes(h2plus, cluster_records,
     assert 0.02 <= p_cluster <= 0.10, p_cluster
 
     chain = [(exchange_spec(rec), rec.pair) for rec in cluster_records]
-    report = run_scenario(h2plus, chain)
-    assert report.transfers == [(12, 13), (13, 14), (14, 15), (15, 16)]
-    assert report.cumulative < p_cluster
+    trajectories = run_scenario(h2plus, chain)
+    assert ([(t.v_start, t.v_end) for t in trajectories]
+            == [(12, 13), (13, 14), (14, 15), (15, 16)])
+    assert math.prod(t.survival_at_end() for t in trajectories) < p_cluster
 
 
 def test_narrow_branch_widths_stay_below_broad_branch(forward_single_loop,
@@ -290,8 +291,7 @@ def test_survival_quadrature_properties():
             w = width_of_phi(phi)
             samples.append(TrajectorySample(
                 phi=phi, t_fs=t_f * phi / (2.0 * math.pi), wavelength=600.0,
-                intensity=0.0, energy=complex(-0.01, -0.5 * w),
-                width_invcm=w * HARTREE_TO_INVCM))
+                intensity=0.0, energy=complex(-0.01, -0.5 * w)))
         return Trajectory(spec=spec, v_start=0, v_end=0, samples=samples)
 
     gamma = 2.5e-5

@@ -47,7 +47,7 @@ class TestMorseOracle:
     def test_matches_closed_form(self):
         crv = morse_curve(self.D, self.A, self.R0)
         levels = vibrational_levels(crv, self.MASS, 10, r_min=0.4, r_max=12.0, n_points=8001)
-        assert not levels.truncated
+        assert len(levels) == 11
         for lvl in levels:
             assert lvl.energy == pytest.approx(self.exact(lvl.v), rel=1e-8)
 
@@ -55,7 +55,6 @@ class TestMorseOracle:
         crv = morse_curve(self.D, self.A, self.R0)
         # lambda parameter a*sqrt(2 m D)/... bounds the count well below 200
         levels = vibrational_levels(crv, self.MASS, 200, r_min=0.4, r_max=16.0, n_points=8001)
-        assert levels.truncated
         assert len(levels) < 201
         assert all(lvl.energy < 0 for lvl in levels)
 

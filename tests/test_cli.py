@@ -21,7 +21,7 @@ from floqep import bound_states, cli, ep, loops
 from floqep.bound_states import field_free_levels
 from floqep.cli import main
 from floqep.ep import EPCandidate, EPRecord, records_from_csv
-from floqep.errors import ConvergenceError
+from floqep.errors import ConvergenceError, ModelError
 from floqep.floquet import build_system
 from floqep.molecule import FieldPoint, RadialGrid, load_molecule
 
@@ -91,6 +91,15 @@ class TestLevelsCommand:
         assert err.startswith("error:") and flag in err
         assert not (tmp_path / "levels.csv").exists()
 
+    @pytest.mark.parametrize("v_max, n_levels, truncated",
+                             [("30", 19, True), ("5", 6, False)])
+    def test_v_max_slices_the_bound_set(self, tmp_path, v_max, n_levels,
+                                        truncated):
+        assert main(["levels", "--v-max", v_max, "--out", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "levels.json").read_text())["results"]
+        assert (res["n_levels"], res["truncated"]) == (n_levels, truncated)
+        assert len(read_csv(tmp_path / "levels.csv")) == n_levels
+
     def test_curve_scan_and_svg(self, tmp_path):
         assert main(["levels", "--out", str(tmp_path),
                      "--lambda-min", "500", "--lambda-max", "600",
@@ -99,6 +108,20 @@ class TestLevelsCommand:
         assert {r["lambda_nm"] for r in rows} == {"500", "550", "600"}
         assert all(int(r["v_plus"]) <= 1 for r in rows)
         ET.parse(tmp_path / "levels.svg")
+
+
+class TestAdiabaticCommand:
+    def test_curves_levels_and_plot(self, tmp_path, capsys):
+        assert main(["adiabatic", "--wavelength", "600", "--intensity", "1e12",
+                     "--out", str(tmp_path)]) == 0
+        assert len(read_csv(tmp_path / "adiabatic_curves.csv")) == 2001
+        res = json.loads((tmp_path / "adiabatic.json").read_text())["results"]
+        rows = read_csv(tmp_path / "adiabatic_levels.csv")
+        assert res["n_levels"] > 0
+        assert [int(r["v_plus"]) for r in rows] == list(range(res["n_levels"]))
+        assert os.path.getsize(tmp_path / "adiabatic.svg") > 0
+        ET.parse(tmp_path / "adiabatic.svg")
+        assert "upper-well levels at 600 nm" in capsys.readouterr().out
 
 
 class TestConfigPrecedence:
@@ -158,6 +181,37 @@ class TestConfigPrecedence:
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"bad value '{value}' for key 'window'" in err
+
+    def test_list_value_reaches_the_command(self, tmp_path, monkeypatch):
+        windows = []
+
+        def no_scan(*args):
+            windows.append(args[3])
+            return []
+
+        monkeypatch.setattr(cli, "approximate_eps", no_scan)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("window = 600 660\n")
+        assert main(["ep-map", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        assert windows == [(600.0, 660.0)]
+        doc = json.loads((tmp_path / "ep_map.json").read_text())
+        assert doc["config"]["window"] == [600.0, 660.0]
+
+    def test_bool_value_reaches_the_command(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def no_loop(*args, **kwargs):
+            seen.update(kwargs)
+            raise ModelError("stopped before the loop")
+
+        monkeypatch.setattr(cli, "follow_resonance", no_loop)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("reverse = yes\n")
+        assert main(["loop", "--config", str(cfg), "--lambda0", "500",
+                     "--d-lambda", "2", "--i-max", "0.02", "--v-start", "2",
+                     "--out", str(tmp_path)]) == 2
+        assert seen["reverse"] is True
 
     def test_read_like_a_descriptor(self, tmp_path):
         # inline comments, and keys in any case
@@ -326,8 +380,9 @@ class TestEpWorkflow:
 class TestLoopCommand:
     def test_weak_loop_outputs(self, tmp_path, capsys):
         eps = tmp_path / "eps.csv"
-        eps.write_text("pair,lambda_nm,intensity_1e13Wcm2,gap_residual\n"
-                       "12-13,500,0.01,1e-09\n")
+        eps.write_text("pair,lambda_nm,intensity_1e13Wcm2,gap_residual,"
+                       "e_ep_re,e_ep_im,v_plus\n"
+                       "12-13,500,0.01,1e-09,-0.01,-1e-05,2\n")
         assert main(["loop", "--out", str(tmp_path),
                      "--lambda0", "500", "--d-lambda", "2",
                      "--i-max", "0.02", "--t-f", "30", "--n-steps", "100",
@@ -388,7 +443,9 @@ class TestLoopCommand:
         ("pair,lambda_nm,intensity_1e13Wcm2,gap_residual\n"
          "12-13,500,high,1e-09\n", "intensity_1e13Wcm2"),
         ("pair,lambda_nm,intensity_1e13Wcm2,gap_residual\n"
-         "12,500,0.01,1e-09\n", "pair")])
+         "12,500,0.01,1e-09\n", "pair"),
+        ("pair,lambda_nm,intensity_1e13Wcm2,gap_residual\n"
+         "12-13,500,0.01,1e-09\n", "e_ep_re")])
     def test_malformed_ep_csv_rejected_before_the_loop(self, tmp_path, capsys,
                                                        monkeypatch, text, column):
         def no_loop(*args, **kwargs):
@@ -556,6 +613,17 @@ class TestErrorExits:
         assert main(["ep-map", flag, "-1", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["levels", "--v-max", "-1"], "--v-max"),
+        (["adiabatic", "--wavelength", "600", "--intensity", "1e12",
+          "--vplus-max", "-1"], "--vplus-max")])
+    def test_negative_level_bound_rejected_before_any_write(self, tmp_path,
+                                                            capsys, argv, flag):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{flag} must be non-negative" in err
+        assert os.listdir(tmp_path) == []
 
 
 class TestStartUp:

@@ -461,7 +461,7 @@ class TestClassification:
             if moved is None:
                 raise ConvergenceError("probe step lost")
             e = e_guess + moved
-            return Resonance(energy=e, width=-2.0 * e.imag)
+            return Resonance(energy=e)
 
         monkeypatch.setattr(floquet, "find_resonance", stepped)
         assert classify_resonance(h2plus, field, energy, grid) == want
@@ -648,14 +648,11 @@ class TestGuards:
                            match=r"50 secant iterations \(last \|dE\| = .*, \|D\| = "):
             find_resonance(system, complex(-0.3))
 
-    def test_resonance_rejects_negative_width(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            Resonance(energy=-0.1 - 0.001j, width=-1e-3)
-
     def test_resonance_rejects_wrong_sheet(self):
         with pytest.raises(ValueError, match="wrong sheet"):
-            Resonance(energy=-0.1 + 1e-3j, width=2e-3)
+            Resonance(energy=-0.1 + 1e-3j)
 
     def test_width_conversion(self):
-        res = Resonance(energy=-0.1 - 0.5e-4j, width=1e-4)
+        res = Resonance(energy=-0.1 - 0.5e-4j)
+        assert res.width == pytest.approx(1e-4)
         assert res.width_invcm == pytest.approx(1e-4 * 219474.63)

@@ -15,12 +15,11 @@ from floqep.loops import (
     loop_point,
     make_loop,
     run_scenario,
-    survival,
     trajectory_to_csv,
     winding_number,
 )
 from floqep.molecule import load_molecule
-from floqep.units import FS_PER_AU_TIME, width_to_invcm
+from floqep.units import FS_PER_AU_TIME, HARTREE_TO_INVCM
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +39,7 @@ def synthetic_trajectory(width_of_phi, t_f=30.0, n_steps=200, lambda0=600.0):
         samples.append(TrajectorySample(
             phi=float(phi), t_fs=t_f * phi / (2.0 * math.pi),
             wavelength=fp.wavelength, intensity=fp.intensity / 1e13,
-            energy=complex(-0.01, -0.5 * w), width_invcm=width_to_invcm(w)))
+            energy=complex(-0.01, -0.5 * w)))
     return Trajectory(spec=spec, v_start=0, v_end=0, samples=samples)
 
 
@@ -103,7 +102,7 @@ class TestSurvivalQuadrature:
     def test_constant_width_is_exact(self):
         w0 = 2.0e-4
         traj = synthetic_trajectory(lambda phi: w0, t_f=30.0)
-        series = survival(traj)
+        series = traj.p_nd
         t_au = 30.0 / FS_PER_AU_TIME
         assert series[-1][1] == pytest.approx(math.exp(-w0 * t_au), rel=1e-12)
         assert series[0][1] == 1.0
@@ -129,12 +128,13 @@ class TestSurvivalQuadrature:
     def test_negative_width_rejected(self):
         traj = synthetic_trajectory(lambda phi: -1e-5)
         with pytest.raises(ModelError, match="negative width"):
-            survival(traj)
+            traj.p_nd
 
     def test_sample_width_property(self):
         s = TrajectorySample(phi=0.0, t_fs=0.0, wavelength=600.0, intensity=0.1,
-                             energy=-0.01 - 2.5e-5j, width_invcm=0.0)
+                             energy=-0.01 - 2.5e-5j)
         assert s.width == pytest.approx(5e-5)
+        assert s.width_invcm == pytest.approx(5e-5 * HARTREE_TO_INVCM)
 
 
 # far below every coalescence intensity: the loop encloses no EP and must
@@ -220,7 +220,7 @@ class TestFollowSplits:
             calls[0] += 1
             r = inner(*args, **kwargs)
             if calls[0] == 40:
-                return Resonance(energy=r.energy + 1e-3, width=r.width)
+                return Resonance(energy=r.energy + 1e-3)
             return r
 
         monkeypatch.setattr(loops, "find_resonance", jump_once)
@@ -263,10 +263,9 @@ class TestScenario:
             run_scenario(h2plus, [(self.SPEC, (2, 3))])
 
     def test_single_loop_report(self, h2plus):
-        report = run_scenario(h2plus, [(self.SPEC, (2, 2))])
-        assert report.transfers == [(2, 2)]
-        assert report.cumulative == pytest.approx(report.survivals[0])
-        assert report.trajectories[0].v_end == 2
+        trajectories = run_scenario(h2plus, [(self.SPEC, (2, 2))])
+        assert [(t.v_start, t.v_end) for t in trajectories] == [(2, 2)]
+        assert 0.0 < trajectories[0].survival_at_end() <= 1.0
 
     def test_field_free_levels_solved_once(self, h2plus, monkeypatch):
         calls = [0]
@@ -281,8 +280,8 @@ class TestScenario:
             if hasattr(mod, "vibrational_levels"):
                 monkeypatch.setattr(mod, "vibrational_levels", counted)
         bound_states.field_free_levels.cache_clear()
-        report = run_scenario(h2plus, [(self.SPEC, (2, 2)), (self.SPEC, (2, 2))])
-        assert report.transfers == [(2, 2), (2, 2)]
+        trajectories = run_scenario(h2plus, [(self.SPEC, (2, 2)), (self.SPEC, (2, 2))])
+        assert [(t.v_start, t.v_end) for t in trajectories] == [(2, 2), (2, 2)]
         assert calls[0] == 1
 
 
