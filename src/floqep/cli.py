@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -129,10 +130,10 @@ def _write_csv(path, header, rows):
 def cmd_levels(args, model, grid):
     """Field-free level table, upper-well curves over a wavelength grid,
     and the crossing-diagram overlay."""
-    if args.lambda_step <= 0:
-        raise ModelError(f"--lambda-step must be positive, got {args.lambda_step}")
-    if args.curve_intensity <= 0:
-        raise ModelError(f"--curve-intensity must be positive (W/cm^2), "
+    if not 0 < args.lambda_step < np.inf:
+        raise ModelError(f"--lambda-step must be positive and finite, got {args.lambda_step}")
+    if not 0 < args.curve_intensity < np.inf:
+        raise ModelError(f"--curve-intensity must be positive and finite (W/cm^2), "
                          f"got {args.curve_intensity}")
     scan = args.lambda_max > args.lambda_min
     if scan and args.lambda_min <= 0:
@@ -189,6 +190,9 @@ def cmd_adiabatic(args, model, grid):
     point."""
     _require(args, "wavelength", "intensity")
     _require_non_negative(args, "vplus_max")
+    if not args.intensity > 0:
+        # with no field the dressed adiabats cross, and no upper well exists
+        raise ModelError(f"--intensity must be positive (W/cm^2), got {args.intensity}")
     field = FieldPoint(args.wavelength, args.intensity)
     ref = model.vg_curve.asymptote
     r_lo = max(model.vg_curve.r_lo, model.vu_curve.r_lo, 0.3, grid.r_min)
@@ -222,6 +226,7 @@ def cmd_resonance(args, model, grid):
     """One Floquet resonance, continued in intensity from the field-free
     level."""
     _require(args, "wavelength", "intensity", "v")
+    field = FieldPoint(args.wavelength, args.intensity)
     key = SolveCache.key(model, grid, "resonance",
                          wavelength=args.wavelength, intensity=args.intensity,
                          v=args.v, n_blocks=args.n_blocks, steps=args.steps)
@@ -231,7 +236,6 @@ def cmd_resonance(args, model, grid):
         if not 0 <= args.v < len(levels):
             raise ModelError(f"v={args.v} outside the {len(levels)} "
                              "bound levels")
-        field = FieldPoint(args.wavelength, args.intensity)
         res = ramp_resonance(model, field, levels[args.v].energy, args.steps,
                              grid, n_blocks=args.n_blocks)
         system = build_system(model, field, grid, args.n_blocks)
@@ -278,25 +282,18 @@ def _refine(model, cand, grid, n_blocks, i_cap):
         return str(ex)
 
 
-def _refine_worker(args):
-    # the model travels as its descriptor: analytic curves hold lambdas,
-    # which do not pickle
-    origin, cand, grid, n_blocks, i_cap = args
-    return _refine(load_molecule(origin), cand, grid, n_blocks, i_cap)
-
-
 def _refinements(args, model, grid, todo):
     """The _refine result of each (key, candidate) of ``todo``, in order and
     as each arrives; with --jobs > 1 from a process pool that stays open
-    while they are consumed."""
-    if args.jobs > 1 and todo:
-        work = [(model.origin, cand, grid, args.n_blocks, args.i_cap)
-                for _, cand in todo]
+    while they are consumed, and to which the model pickles."""
+    refine = functools.partial(_refine, model, grid=grid, n_blocks=args.n_blocks,
+                               i_cap=args.i_cap)
+    cands = [cand for _, cand in todo]
+    if args.jobs > 1 and cands:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            yield from pool.map(_refine_worker, work)
+            yield from pool.map(refine, cands)
     else:
-        for _, cand in todo:
-            yield _refine(model, cand, grid, args.n_blocks, args.i_cap)
+        yield from map(refine, cands)
 
 
 def cmd_ep_map(args, model, grid):
@@ -305,8 +302,10 @@ def cmd_ep_map(args, model, grid):
     if args.jobs < 1:
         raise ModelError(f"--jobs must be at least 1, got {args.jobs}")
     _require_non_negative(args, "v_max", "vplus_max")
-    cache = SolveCache(args.cache)
     lo, hi = args.window
+    if not 0 < lo < hi:
+        raise ModelError(f"--window needs 0 < LO < HI (nm), got {lo:g} {hi:g}")
+    cache = SolveCache(args.cache)
     cands = approximate_eps(model, range(args.v_max + 1),
                             range(args.vplus_max + 1), (lo, hi), grid)
     records, todo = [], []
@@ -350,6 +349,9 @@ def cmd_ep_map(args, model, grid):
 def cmd_ep_refine(args, model, grid):
     """Refine a single candidate to its coalescence point."""
     _require(args, "v", "v_plus", "lambda_guess")
+    _require_non_negative(args, "v_plus")
+    if not 0 < args.lambda_guess < np.inf:
+        raise ModelError(f"--lambda-guess must be positive and finite, got {args.lambda_guess}")
     _check_refine_options(args)
     partner = args.v_partner if args.v_partner is not None else args.v + 1
     cand = EPCandidate(v=args.v, v_partner=partner, v_plus=args.v_plus,

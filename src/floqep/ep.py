@@ -97,9 +97,9 @@ def cplus_minimum_wavelength(model: MoleculeModel) -> float:
 
     r = np.linspace(model.vg_curve.r_lo, 12.0, 2001)
     r = r[r > 0.2]
-    vg = model.vg_curve.eval_at(r)
+    vg = model.vg_curve(r)
     re = r[int(np.argmin(vg))]
-    gap = model.vu_curve.eval_at(re) - model.vg_curve.eval_at(re)
+    gap = model.vu_curve(re) - model.vg_curve(re)
     return PHOTON_HARTREE_NM / gap
 
 

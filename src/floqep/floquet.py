@@ -12,7 +12,7 @@ Eigenvalues are roots of the matching determinant det(R_m - G_{m+1}^-1) of
 the renormalized Numerov ratio matrices at an interior point m; a dedicated
 one-point stencil bridges the real/rotated step mismatch at the scaling corner.
 For every block count the ratios come from two banded boundary-value problems
-of the Numerov equations, outward from the origin and inward from the contour
+of the Numerov equations, outward from r_min and inward from the contour
 end (the ratios are the block pivots of that banded LU; B. R. Johnson,
 J. Chem. Phys. 69, 4678 (1978)).  The field enters the discretized problem
 through two numbers only: omega, in the n omega shifts of the diagonal, and
@@ -123,9 +123,9 @@ class _Template:
         self.reference = vg.asymptote
 
         def on_contour(crv):
-            # the table before the corner; from the corner on, the analytic
-            # tail that the corner stencil differentiates
-            return np.concatenate([crv(x), crv.eval_at(z[c:])])
+            # real-axis values before the corner; from the corner on, the
+            # closed form that the corner stencil differentiates
+            return np.concatenate([crv(x), crv.at(z[c:])])
 
         curves = {"g": vg, "u": vu}
         # V - reference of each state and block, and the dipole coupling W
@@ -163,11 +163,11 @@ class _Template:
         pts = (m, m + 1, c)
         self.w_free = self.two_m * np.stack(
             [np.diag(v[:, k]) for k in pts]
-            + [np.diag([curves[state].d1(zc) for state, _ in self.blocks]),
-               np.diag([curves[state].d2(zc) for state, _ in self.blocks])])
+            + [np.diag([curves[state].at(zc, nu) for state, _ in self.blocks])
+               for nu in (1, 2)])
         self.w_n = self.two_m * np.multiply.outer([1, 1, 1, 0, 0], np.diag(self.n))
-        mu_c = [wmu[k] for k in pts] + [-model.reduced_mass * model.dipole.d1(zc),
-                                        -model.reduced_mass * model.dipole.d2(zc)]
+        mu_c = [wmu[k] for k in pts] + [-model.reduced_mass * model.dipole.at(zc, nu)
+                                        for nu in (1, 2)]
         self.w_mu = np.multiply.outer(mu_c, np.eye(nb, k=1) + np.eye(nb, k=-1))
 
         # both halves; the inward one is stored reversed, so that in both

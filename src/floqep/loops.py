@@ -58,10 +58,11 @@ class LoopSpec:
     n_steps: int = 200
 
     def __post_init__(self):
-        if self.i_max <= 0.0:
-            raise ModelError("i_max must be positive")
-        if self.t_f <= 0.0:
-            raise ModelError("t_f must be positive")
+        # written so that NaN fails each comparison
+        if not 0.0 < self.i_max < math.inf:
+            raise ModelError(f"i_max must be positive and finite, got {self.i_max}")
+        if not 0.0 < self.t_f < math.inf:
+            raise ModelError(f"t_f must be positive and finite, got {self.t_f}")
         if self.n_steps < 100:
             raise ModelError(f"n_steps must be >= 100, got {self.n_steps}")
 

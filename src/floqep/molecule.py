@@ -2,9 +2,13 @@
 
 A model bundles the two Born-Oppenheimer potentials (lower "g" curve with a
 well, upper repulsive "u" curve), the radiative transition dipole between
-them, and the reduced mass.  Curves are either interpolated tables or closed
-forms; both expose values, first and second derivatives, and an analytic
-continuation used on the complex part of the scaling contour.
+them, and the reduced mass.  Every curve is one ``Curve``: a closed form
+with its first two derivatives at real or complex R, plus, for a curve read
+from a table, a cubic spline through the table for the real-axis values on
+its span.  A table's closed form is a tail fitted to the nodes beyond
+``tail-start``; it extrapolates past the last node and is the analytic
+continuation used on the complex part of the scaling contour.  Curves hold
+only arrays and module functions, so a model pickles whole.
 
 Energies are hartree, distances bohr, dipoles atomic units.  Potentials are
 referenced to whatever zero the data uses; the shared dissociation limit is
@@ -13,11 +17,11 @@ exposed as ``asymptote`` and downstream consumers shift by it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv as _dgtsv
@@ -28,7 +32,7 @@ from .units import H2P_REDUCED_MASS, field_amplitude, photon_energy
 _BUNDLED_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 __all__ = [
-    "AnalyticCurve",
+    "Curve",
     "FieldPoint",
     "MoleculeModel",
     "RadialGrid",
@@ -43,142 +47,102 @@ __all__ = [
 ]
 
 
-class AnalyticCurve:
-    """Closed-form radial curve with analytic derivatives.
+class Curve:
+    """A radial curve: a closed form, and optionally a spline through a table.
 
-    Parameters
-    ----------
-    fn, d1, d2 : callables accepting real or complex arguments.
-    asymptote : large-R limit (None for unbounded functions such as dipoles).
+    ``form(z, nu)`` is the value (nu = 0) or the first or second derivative
+    at real or complex z.  On real R a curve is the spline on the table span
+    [r_lo, r_hi] and the closed form elsewhere; ``at`` is the closed form,
+    the continuation onto the scaling contour from ``continuation_start``
+    on.  ``asymptote`` is the large-R limit, None for a dipole.
     """
 
-    def __init__(self, fn: Callable, d1: Callable, d2: Callable, asymptote: float | None = 0.0):
-        self._fn = fn
-        self._d1 = d1
-        self._d2 = d2
+    def __init__(self, form, asymptote: float | None, spline: _CubicSpline | None = None,
+                 continuation_start: float = 0.0):
+        self.form = form
         self.asymptote = asymptote
-        self.r_lo = 0.0
-        self.r_hi = math.inf
-        # analytic forms continue everywhere
-        self.continuation_start = 0.0
+        self.continuation_start = float(continuation_start)
+        self._spline = spline
+        self.r_lo, self.r_hi = ((0.0, math.inf) if spline is None
+                                else (float(spline.x[0]), float(spline.x[-1])))
 
     def __call__(self, r):
-        return self._fn(r)
+        if self._spline is None:
+            return self.form(r)
+        r = np.asarray(r, dtype=float)
+        if np.any(r < self.r_lo - 1e-12):
+            raise ModelError(f"evaluation below table start ({self.r_lo} bohr)")
+        out = np.where(r <= self.r_hi, self._spline(np.clip(r, self.r_lo, self.r_hi)),
+                       self.form(r))
+        return float(out) if out.ndim == 0 else out
 
-    def eval_at(self, z):
-        """Value at a real or complex coordinate."""
-        return self._fn(z)
-
-    def d1(self, z):
-        return self._d1(z)
-
-    def d2(self, z):
-        return self._d2(z)
+    def at(self, z, nu: int = 0):
+        """The closed form (nu = 0) or its nu-th derivative at real or complex z."""
+        if np.any(np.real(z) < self.continuation_start - 1e-9):
+            raise ModelError(f"closed form requested before the continuation region "
+                             f"(Re z < {self.continuation_start} bohr)")
+        return self.form(z, nu)
 
 
-def morse_curve(depth: float, width: float, r0: float) -> AnalyticCurve:
+def _morse(depth, width, r0, z, nu=0):
+    e = np.exp(-width * (z - r0))
+    if nu == 0:
+        return depth * (e * e - 2.0 * e)
+    if nu == 1:
+        return 2.0 * depth * width * (e - e * e)
+    return 2.0 * depth * width * width * (2.0 * e * e - e)
+
+
+def _wall(amplitude, decay, z, nu=0):
+    return (amplitude, -decay * amplitude, decay * decay * amplitude)[nu] * np.exp(-decay * z)
+
+
+def _exchange_tail(c, z, nu=0):
+    """c0 + c1 R e^-R + c2 e^-R + c3/R^4 + c4/R^6: the exchange-splitting and
+    polarization decay of one-electron diatomics, which also fits generic
+    short-range tails adequately."""
+    if nu == 0:
+        return c[0] + c[1] * z * np.exp(-z) + c[2] * np.exp(-z) + c[3] * z ** -4.0 + c[4] * z ** -6.0
+    if nu == 1:
+        return (c[1] * (1.0 - z) * np.exp(-z) - c[2] * np.exp(-z)
+                - 4.0 * c[3] * z ** -5.0 - 6.0 * c[4] * z ** -7.0)
+    return (c[1] * (z - 2.0) * np.exp(-z) + c[2] * np.exp(-z)
+            + 20.0 * c[3] * z ** -6.0 + 42.0 * c[4] * z ** -8.0)
+
+
+def _line(c, z, nu=0):
+    """c0 + c1 R."""
+    if nu == 0:
+        return c[0] + c[1] * z
+    if nu == 1:
+        return c[1] * np.ones_like(z)
+    return np.zeros_like(z)
+
+
+def morse_curve(depth: float, width: float, r0: float) -> Curve:
     """Morse well D(1 - exp(-a(R-R0)))^2 - D, referenced to the asymptote at 0."""
     if depth <= 0 or width <= 0:
         raise ModelError("Morse depth and width must be positive")
-
-    def fn(r):
-        e = np.exp(-width * (r - r0))
-        return depth * (e * e - 2.0 * e)
-
-    def d1(r):
-        e = np.exp(-width * (r - r0))
-        return 2.0 * depth * width * (e - e * e)
-
-    def d2(r):
-        e = np.exp(-width * (r - r0))
-        return 2.0 * depth * width * width * (2.0 * e * e - e)
-
-    return AnalyticCurve(fn, d1, d2, asymptote=0.0)
+    return Curve(functools.partial(_morse, depth, width, r0), asymptote=0.0)
 
 
-def exp_repulsive(amplitude: float, decay: float) -> AnalyticCurve:
+def exp_repulsive(amplitude: float, decay: float) -> Curve:
     """Purely repulsive wall A exp(-c R) sharing the asymptote at 0."""
     if amplitude <= 0 or decay <= 0:
         raise ModelError("repulsive amplitude and decay must be positive")
-    fn = lambda r: amplitude * np.exp(-decay * r)
-    d1 = lambda r: -decay * amplitude * np.exp(-decay * r)
-    d2 = lambda r: decay * decay * amplitude * np.exp(-decay * r)
-    return AnalyticCurve(fn, d1, d2, asymptote=0.0)
+    return Curve(functools.partial(_wall, amplitude, decay), asymptote=0.0)
 
 
-def linear_dipole(slope: float) -> AnalyticCurve:
+def linear_dipole(slope: float) -> Curve:
     """Dipole slope*R (charge-resonance large-R form)."""
     if slope <= 0:
         raise ModelError("dipole slope must be positive")
-    return AnalyticCurve(
-        lambda r: slope * np.asarray(r) if np.ndim(r) else slope * r,
-        lambda r: slope * np.ones_like(np.asarray(r, dtype=complex)) if np.ndim(r) else slope,
-        lambda r: np.zeros_like(np.asarray(r, dtype=complex)) if np.ndim(r) else 0.0,
-        asymptote=None,
-    )
-
-
-def _fit_tail(r: np.ndarray, v: np.ndarray, start: float, n_min: int, basis):
-    """Least-squares coefficients of the functions basis(R) over the table
-    nodes at or beyond start."""
-    mask = r >= start
-    if int(mask.sum()) < n_min:
-        raise ModelError(f"tail fit needs >= {n_min} nodes beyond {start} bohr, "
-                         f"got {int(mask.sum())}")
-    coef, *_ = np.linalg.lstsq(np.vstack(basis(r[mask])).T, v[mask], rcond=None)
-    return coef
-
-
-class _AsymptoticTail:
-    """Least-squares tail model c0 + c1 R e^-R + c2 e^-R + c3/R^4 + c4/R^6.
-
-    Fitted to the outer table nodes; supplies the analytic continuation of a
-    tabulated potential onto the complex contour and its extrapolation beyond
-    the table.  The basis covers exchange-splitting and polarization decay of
-    one-electron diatomics and fits generic short-range tails adequately.
-    """
-
-    def __init__(self, r: np.ndarray, v: np.ndarray, start: float):
-        self.coef = _fit_tail(r, v, start, 6, lambda rr: [
-            np.ones_like(rr), rr * np.exp(-rr), np.exp(-rr), rr ** -4.0, rr ** -6.0])
-        self.start = float(start)
-
-    def eval_at(self, z):
-        c = self.coef
-        return c[0] + c[1] * z * np.exp(-z) + c[2] * np.exp(-z) + c[3] * z ** -4.0 + c[4] * z ** -6.0
-
-    def d1(self, z):
-        c = self.coef
-        return (c[1] * (1.0 - z) * np.exp(-z) - c[2] * np.exp(-z)
-                - 4.0 * c[3] * z ** -5.0 - 6.0 * c[4] * z ** -7.0)
-
-    def d2(self, z):
-        c = self.coef
-        return (c[1] * (z - 2.0) * np.exp(-z) + c[2] * np.exp(-z)
-                + 20.0 * c[3] * z ** -6.0 + 42.0 * c[4] * z ** -8.0)
-
-
-class _LinearTail:
-    """Least-squares line c0 + c1 R through the outer table nodes: the
-    continuation of a tabulated dipole, which grows as R/2 at large R."""
-
-    def __init__(self, r: np.ndarray, v: np.ndarray, start: float):
-        self.coef = _fit_tail(r, v, start, 2, lambda rr: [np.ones_like(rr), rr])
-        self.start = float(start)
-
-    def eval_at(self, z):
-        return self.coef[0] + self.coef[1] * z
-
-    def d1(self, z):
-        return self.coef[1] * np.ones_like(z)
-
-    def d2(self, z):
-        return np.zeros_like(z)
+    return Curve(functools.partial(_line, (0.0, slope)), asymptote=None)
 
 
 class _CubicSpline:
-    """Not-a-knot cubic spline through (x, y), n >= 4 nodes: values and the
-    first two derivatives, extrapolated by the end pieces.
+    """Not-a-knot cubic spline through (x, y), n >= 4 nodes, extrapolated
+    by the end pieces.
 
     The node slopes solve the tridiagonal system of C2 continuity at the
     interior nodes and third-derivative continuity at the second and the
@@ -207,87 +171,50 @@ class _CubicSpline:
         t = (s[:-1] + s[1:] - 2.0 * slope) / dx
         # piece k: c0 u^3 + c1 u^2 + c2 u + c3, u = r - x_k
         self._c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
-        self._x = x
+        self.x = x
 
-    def __call__(self, r, nu: int = 0):
-        """The nu-th derivative (nu = 0, 1, 2) at r."""
-        r = np.asarray(r, dtype=float)
-        k = np.clip(np.searchsorted(self._x, r, side="right") - 1, 0, len(self._x) - 2)
-        u = r - self._x[k]
-        c0, c1, c2, c3 = self._c[:, k]
-        if nu == 0:
-            return ((c0 * u + c1) * u + c2) * u + c3
-        if nu == 1:
-            return (3.0 * c0 * u + 2.0 * c1) * u + c2
-        return 6.0 * c0 * u + 2.0 * c1
-
-
-class TabulatedCurve:
-    """Cubic-spline interpolant of a two-column (R, value) table.
-
-    Real-axis evaluation uses the spline over the table span.  A fitted tail
-    over the nodes at or beyond ``tail_start`` (asymptotic for a potential,
-    linear for a dipole) extrapolates beyond the last node and provides
-    values and derivatives at complex coordinates (only meaningful for
-    Re z >= continuation_start = tail_start, which must not lie beyond the
-    scaling radius of the contour).
-    """
-
-    def __init__(self, r: np.ndarray, v: np.ndarray, kind: str = "potential", *,
-                 tail_start: float):
-        r = np.asarray(r, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if r.ndim != 1 or r.shape != v.shape:
-            raise ModelError("curve table must be two matching columns")
-        if len(r) < 4:
-            raise ModelError(f"curve table needs at least 4 rows, got {len(r)}")
-        if not np.all(np.diff(r) > 0):
-            raise ModelError("non-monotone abscissa in curve table")
-        self.r_lo = float(r[0])
-        self.r_hi = float(r[-1])
-        self._spline = _CubicSpline(r, v)
-        if kind == "potential":
-            self._tail = _AsymptoticTail(r, v, tail_start)
-            self.asymptote = float(self._tail.coef[0])
-        elif kind == "dipole":
-            self._tail = _LinearTail(r, v, tail_start)
-            self.asymptote = None
-        else:
-            raise ModelError(f"unknown curve kind {kind!r}")
-        self.continuation_start = self._tail.start
-
-    # -- real axis -------------------------------------------------------
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        if np.any(r < self.r_lo - 1e-12):
-            raise ModelError(f"evaluation below table start ({self.r_lo} bohr)")
-        out = np.where(r <= self.r_hi, self._spline(np.clip(r, self.r_lo, self.r_hi)),
-                       self._tail.eval_at(r))
-        return float(out[0]) if scalar else out
+        k = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, len(self.x) - 2)
+        u = r - self.x[k]
+        c0, c1, c2, c3 = self._c[:, k]
+        return ((c0 * u + c1) * u + c2) * u + c3
 
-    # -- analytic continuation / derivatives ------------------------------
-    def eval_at(self, z):
-        """Value at real or complex z; complex z uses the closed-form tail."""
-        z = np.asarray(z)
-        if np.isrealobj(z):
-            return self.__call__(z.astype(float) if z.ndim else float(z))
-        if np.any(np.real(z) < self.continuation_start - 1e-9):
-            raise ModelError("complex evaluation requested before the continuation region")
-        return self._tail.eval_at(z)
 
-    def d1(self, z):
-        z = np.asarray(z)
-        if np.isrealobj(z) and np.all(z <= self.r_hi):
-            return self._spline(z, 1)
-        return self._tail.d1(z)
+def TabulatedCurve(r: np.ndarray, v: np.ndarray, kind: str = "potential", *,
+                   tail_start: float) -> Curve:
+    """The curve of a two-column (R, value) table.
 
-    def d2(self, z):
-        z = np.asarray(z)
-        if np.isrealobj(z) and np.all(z <= self.r_hi):
-            return self._spline(z, 2)
-        return self._tail.d2(z)
+    A cubic spline through the table, and a closed-form tail fitted by least
+    squares to the nodes at or beyond ``tail_start``: asymptotic for a
+    potential, linear for a dipole.  ``tail_start`` is where the tail's
+    continuation starts, so it must not lie beyond the scaling radius of the
+    contour.
+    """
+    r = np.asarray(r, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if r.ndim != 1 or r.shape != v.shape:
+        raise ModelError("curve table must be two matching columns")
+    if len(r) < 4:
+        raise ModelError(f"curve table needs at least 4 rows, got {len(r)}")
+    if not np.all(np.diff(r) > 0):
+        raise ModelError("non-monotone abscissa in curve table")
+    if kind == "potential":
+        form, n_coef, n_min = _exchange_tail, 5, 6
+    elif kind == "dipole":
+        form, n_coef, n_min = _line, 2, 2
+    else:
+        raise ModelError(f"unknown curve kind {kind!r}")
+    mask = r >= tail_start
+    if int(mask.sum()) < n_min:
+        raise ModelError(f"tail fit needs >= {n_min} nodes beyond {tail_start} bohr, "
+                         f"got {int(mask.sum())}")
+    # the form at unit coefficient vectors is its basis
+    basis = np.vstack([form(unit, r[mask]) for unit in np.eye(n_coef)]).T
+    coef, *_ = np.linalg.lstsq(basis, v[mask], rcond=None)
+    return Curve(functools.partial(form, coef),
+                 asymptote=float(coef[0]) if kind == "potential" else None,
+                 spline=_CubicSpline(r, v), continuation_start=tail_start)
 
 
 @dataclass(frozen=True)
@@ -302,10 +229,11 @@ class FieldPoint:
     intensity: float
 
     def __post_init__(self):
-        if self.wavelength <= 0:
-            raise ModelError(f"wavelength must be positive, got {self.wavelength}")
-        if self.intensity < 0:
-            raise ModelError(f"intensity must be non-negative, got {self.intensity}")
+        # written so that NaN fails each comparison
+        if not 0 < self.wavelength < math.inf:
+            raise ModelError(f"wavelength must be positive and finite, got {self.wavelength}")
+        if not 0 <= self.intensity < math.inf:
+            raise ModelError(f"intensity must be non-negative and finite, got {self.intensity}")
 
     @property
     def omega(self) -> float:
@@ -367,7 +295,8 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class MoleculeModel:
-    """Immutable bundle of curves and mass; safe to share across workers."""
+    """Immutable bundle of curves and mass; it pickles, so worker processes
+    receive the model itself."""
 
     name: str
     vg_curve: object
@@ -375,8 +304,6 @@ class MoleculeModel:
     dipole: object
     reduced_mass: float
     fingerprint: str = ""
-    # descriptor this model was loaded from; lets worker processes reload it
-    origin: str = ""
 
     def validate(self) -> None:
         """Check the structural invariants; raises ModelError on violation."""
@@ -524,8 +451,7 @@ def load_molecule(descriptor: str) -> MoleculeModel:
             pieces.append(fh.read())
 
     model = MoleculeModel(name=name, vg_curve=vg_curve, vu_curve=vu_curve, dipole=dipole,
-                          reduced_mass=mass, fingerprint=_descriptor_fingerprint(pieces),
-                          origin=str(descriptor))
+                          reduced_mass=mass, fingerprint=_descriptor_fingerprint(pieces))
     model.validate()
     return model
 

@@ -6,6 +6,7 @@ and emitted files can all be asserted cheaply.  The heavier workflows
 engine test modules.
 """
 
+import argparse
 import csv
 import importlib
 import json
@@ -23,7 +24,8 @@ from floqep.cli import main
 from floqep.ep import EPCandidate, EPRecord, records_from_csv
 from floqep.errors import ConvergenceError, ModelError
 from floqep.floquet import build_system
-from floqep.molecule import FieldPoint, RadialGrid, load_molecule
+from floqep.molecule import (FieldPoint, MoleculeModel, RadialGrid, exp_repulsive,
+                             linear_dipole, load_molecule, morse_curve)
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -60,15 +62,15 @@ class TestLevelsCommand:
         lines = (tmp_path / "well_curves.csv").read_text().strip().splitlines()
         assert lines == ["lambda_nm,v_plus,energy_hartree"]
 
-    @pytest.mark.parametrize("step", ["0", "-5"])
+    @pytest.mark.parametrize("step", ["0", "-5", "nan", "inf"])
     def test_non_positive_lambda_step_rejected(self, tmp_path, capsys, step):
         assert main(["levels", "--out", str(tmp_path),
                      "--lambda-min", "500", "--lambda-max", "600",
                      "--lambda-step", step]) == 2
         assert "--lambda-step must be positive" in capsys.readouterr().err
-        assert not (tmp_path / "levels.json").exists()
+        assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("intensity", ["0", "-1000"])
+    @pytest.mark.parametrize("intensity", ["0", "-1000", "nan", "inf"])
     def test_non_positive_curve_intensity_rejected(self, tmp_path, capsys,
                                                    intensity):
         assert main(["levels", "--out", str(tmp_path),
@@ -76,7 +78,7 @@ class TestLevelsCommand:
                      "--curve-intensity", intensity]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--curve-intensity" in err
-        assert not (tmp_path / "levels.json").exists()
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv, flag", [
         (["--lambda-min", "-100", "--lambda-max", "-50"], "--lambda-min"),
@@ -376,6 +378,25 @@ class TestEpWorkflow:
         assert [r["pair"] for r in doc["results"]["records"]] == [[13, 14]]
         assert sum(p is models[0].vg_curve for p in potentials) == 1
 
+    def test_workers_receive_an_in_memory_model(self):
+        # no descriptor to reload it from: the model itself pickles
+        model = MoleculeModel(name="in-memory",
+                              vg_curve=morse_curve(0.102635, 0.7082, 1.9972),
+                              vu_curve=exp_repulsive(2.0070, 0.8996),
+                              dipole=linear_dipole(0.5), reduced_mass=918.0764)
+        todo = [(None, EPCandidate(v=9, v_partner=10, v_plus=0,
+                                   lambda_guess=628.3201183976421)),
+                (None, EPCandidate(v=12, v_partner=13, v_plus=2,
+                                   lambda_guess=609.7858725309844))]
+        runs = [list(cli._refinements(
+                    argparse.Namespace(jobs=jobs, n_blocks=2, i_cap=0.6),
+                    model, RadialGrid(), todo))
+                for jobs in (1, 2)]
+        assert runs[0] == runs[1]
+        assert runs[0][0].startswith("Newton iterate left the seed pair")
+        assert runs[0][1].pair == (12, 13) and runs[0][1].gap_residual < 1e-8
+
+
 
 class TestLoopCommand:
     def test_weak_loop_outputs(self, tmp_path, capsys):
@@ -526,7 +547,8 @@ class TestErrorExits:
         assert "unknown model" in capsys.readouterr().err
 
     def test_bad_dipole_slope(self, tmp_path, capsys):
-        with open(floqep.molecule.load_molecule("h2plus-morse").origin) as fh:
+        with open(os.path.join(os.path.dirname(floqep.molecule.__file__), "data",
+                               "h2plus-morse.model")) as fh:
             text = fh.read()
         desc = tmp_path / "bad.model"
         desc.write_text(text.replace("dipole = linear 0.5", "dipole = linear x"))
@@ -624,6 +646,51 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{flag} must be non-negative" in err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv, name", [
+        (["adiabatic", "--wavelength", "600", "--intensity", "0"], "--intensity"),
+        (["adiabatic", "--wavelength", "600", "--intensity", "nan"], "intensity"),
+        (["adiabatic", "--wavelength", "600", "--intensity", "inf"], "intensity"),
+        (["adiabatic", "--wavelength", "inf", "--intensity", "1e12"], "wavelength"),
+        (["resonance", "--wavelength", "nan", "--intensity", "1e12", "--v", "3"],
+         "wavelength"),
+        (["resonance", "--wavelength", "600", "--intensity=-inf", "--v", "3"],
+         "intensity"),
+        (["loop", "--lambda0", "634.55", "--d-lambda", "-5", "--i-max", "nan",
+          "--v-start", "12"], "i_max"),
+        (["loop", "--lambda0", "634.55", "--d-lambda", "-5", "--i-max", "0.3",
+          "--t-f", "nan", "--v-start", "12"], "t_f")])
+    def test_unusable_laser_parameter_rejected_before_any_write(
+            self, tmp_path, capsys, argv, name):
+        # each used to fail late, some after writing their CSVs; with no
+        # field, adiabatic wrote adiabatic_curves.csv and then failed on
+        # the crossing
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["ep-map", "--window", "700", "600"], "--window"),
+        (["ep-map", "--window", "0", "600"], "--window"),
+        (["ep-map", "--window", "nan", "600"], "--window"),
+        (["ep-refine", "--v", "12", "--v-plus", "-1", "--lambda-guess", "636"],
+         "--v-plus"),
+        (["ep-refine", "--v", "12", "--v-plus", "2", "--lambda-guess", "nan"],
+         "--lambda-guess")])
+    def test_bad_scan_flag_rejected_before_the_scan(self, tmp_path, capsys,
+                                                    monkeypatch, argv, flag):
+        # an inverted window used to map nothing and exit 0, a negative
+        # --v-plus to be stored in the refined record, and a NaN guess to
+        # end in a traceback
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a scan or refinement ran")
+
+        monkeypatch.setattr(cli, "approximate_eps", no_scan)
+        monkeypatch.setattr(cli, "refine_ep", no_scan)
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
 
 
 class TestStartUp:

@@ -89,7 +89,7 @@ def dense_pencil(system, e0):
     z = grid.contour()
 
     def on_contour(crv):
-        return np.concatenate([crv(z[:c].real), crv.eval_at(z[c:])])
+        return np.concatenate([crv(z[:c].real), crv.at(z[c:])])
 
     # V + n omega - reference of each block, and -M E0 mu off the diagonal
     curves = {"g": model.vg_curve, "u": model.vu_curve}
@@ -526,7 +526,7 @@ class TestTabulatedDipole:
 
     def test_table_of_r_over_2_matches_linear_dipole(self, h2plus, grid,
                                                      free_levels, tmp_path):
-        data = os.path.dirname(os.path.abspath(h2plus.origin))
+        data = os.path.join(os.path.dirname(floquet.__file__), "data")
         r = np.loadtxt(os.path.join(data, "h2p_1ssg.tsv"))[:, 0]
         np.savetxt(tmp_path / "mu.tsv", np.column_stack([r, 0.5 * r]))
         desc = tmp_path / "tabmu.model"
@@ -581,12 +581,14 @@ class TestTemplate:
             crv = getattr(model, name)
             counts[name] = [0]
 
-            def counted(z, inner=crv.eval_at, n=counts[name]):
-                n[0] += 1
-                return inner(z)
+            def counted(z, nu=0, inner=crv.at, n=counts[name]):
+                n[0] += nu == 0
+                return inner(z, nu)
 
-            monkeypatch.setattr(crv, "eval_at", counted)
-        # one template per block count; four blocks hold each state twice
+            monkeypatch.setattr(crv, "at", counted)
+        # one template per block count, and one contour value evaluation
+        # (nu = 0) per curve and template, though four blocks hold each
+        # state twice
         for nb in (2, 4):
             for k in range(10):
                 build_system(model, FieldPoint(600.0 + k, (1 + k) * 1e12), tgrid,

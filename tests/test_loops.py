@@ -56,6 +56,14 @@ class TestLoopSpec:
         with pytest.raises(ModelError, match="n_steps"):
             LoopSpec(lambda0=600.0, d_lambda=5.0, i_max=0.2, t_f=30.0, n_steps=50)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["i_max", "t_f"])
+    def test_rejects_non_finite_values(self, name, value):
+        kwargs = {"lambda0": 600.0, "d_lambda": 5.0, "i_max": 0.2, "t_f": 30.0,
+                  name: value}
+        with pytest.raises(ModelError, match=f"{name} must be .*finite"):
+            LoopSpec(**kwargs)
+
 
 class TestLoopGeometry:
     SPEC = LoopSpec(lambda0=600.0, d_lambda=5.0, i_max=0.2, t_f=30.0)

@@ -1,13 +1,18 @@
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import floqep.molecule
+from floqep.bound_states import field_free_levels
 from floqep.errors import GridError, ModelError
+from floqep.floquet import build_system
 from floqep.molecule import (
     FieldPoint,
+    MoleculeModel,
     RadialGrid,
     TabulatedCurve,
     adiabatic_potentials,
@@ -16,6 +21,8 @@ from floqep.molecule import (
     load_molecule,
     morse_curve,
 )
+
+DATA = os.path.join(os.path.dirname(floqep.molecule.__file__), "data")
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +34,8 @@ class TestCurves:
     def test_morse_minimum(self):
         crv = morse_curve(0.1, 0.7, 2.0)
         assert crv(2.0) == pytest.approx(-0.1)
-        assert crv.d1(2.0) == pytest.approx(0.0, abs=1e-14)
-        assert crv.d2(2.0) == pytest.approx(2 * 0.1 * 0.7 ** 2)
+        assert crv.at(2.0, 1) == pytest.approx(0.0, abs=1e-14)
+        assert crv.at(2.0, 2) == pytest.approx(2 * 0.1 * 0.7 ** 2)
         assert crv.asymptote == 0.0
 
     def test_morse_rejects_bad_params(self):
@@ -45,14 +52,14 @@ class TestCurves:
     def test_linear_dipole(self):
         mu = linear_dipole(0.5)
         assert mu(3.0) == pytest.approx(1.5)
-        assert mu.d1(3.0) == pytest.approx(0.5)
+        assert mu.at(3.0, 1) == pytest.approx(0.5)
 
     def test_analytic_complex_derivatives(self):
         crv = morse_curve(0.1, 0.7, 2.0)
         z = 3.0 + 0.2j
         eps = 1e-6
-        fd = (crv.eval_at(z + eps) - crv.eval_at(z - eps)) / (2 * eps)
-        assert abs(crv.d1(z) - fd) < 1e-8
+        fd = (crv.at(z + eps) - crv.at(z - eps)) / (2 * eps)
+        assert abs(crv.at(z, 1) - fd) < 1e-8
 
     def test_tabulated_roundtrip(self):
         r = np.linspace(0.5, 20.0, 400)
@@ -72,21 +79,20 @@ class TestCurves:
             TabulatedCurve(np.array([1.0, 2.0]), np.array([0.0, 0.0]), tail_start=1.0)
 
     @pytest.mark.parametrize("table", ["h2p_1ssg.tsv", "h2p_2psu.tsv"])
-    def test_spline_matches_scipy_not_a_knot(self, h2plus, table):
+    def test_spline_matches_scipy_not_a_knot(self, table):
         # the package's own spline; scipy's CubicSpline is only the reference
         from scipy.interpolate import CubicSpline
-        r, v = np.loadtxt(os.path.join(os.path.dirname(h2plus.origin), table)).T
+        r, v = np.loadtxt(os.path.join(DATA, table)).T
         crv = TabulatedCurve(r, v, tail_start=12.0)
         ref = CubicSpline(r, v)
         at = np.concatenate([r, 0.5 * (r[1:] + r[:-1]),
                              np.linspace(r[0], r[-1], 3001)])
-        for got, nu in ((crv(at), 0), (crv.d1(at), 1), (crv.d2(at), 2)):
-            want = ref(at, nu)
-            assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        want = ref(at)
+        assert_allclose(crv(at), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_complex_eval_guarded(self, h2plus):
         with pytest.raises(ModelError, match="continuation"):
-            h2plus.vg_curve.eval_at(3.0 + 0.5j)
+            h2plus.vg_curve.at(3.0 + 0.5j)
 
 
 class TestLoadMolecule:
@@ -121,14 +127,13 @@ class TestLoadMolecule:
         with pytest.raises(ModelError, match="key = value"):
             load_molecule(str(d))
 
-    def test_table_descriptor_needs_tail_start(self, h2plus, tmp_path):
+    def test_table_descriptor_needs_tail_start(self, tmp_path):
         # without it no tail would reach the scaling corner, and every
         # solve would fail later
-        data = os.path.dirname(h2plus.origin)
         d = tmp_path / "notail.model"
         d.write_text(f"kind = tables\n"
-                     f"vg = {os.path.join(data, 'h2p_1ssg.tsv')}\n"
-                     f"vu = {os.path.join(data, 'h2p_2psu.tsv')}\n")
+                     f"vg = {os.path.join(DATA, 'h2p_1ssg.tsv')}\n"
+                     f"vu = {os.path.join(DATA, 'h2p_2psu.tsv')}\n")
         with pytest.raises(ModelError, match="'tail-start'"):
             load_molecule(str(d))
 
@@ -138,7 +143,7 @@ class TestLoadMolecule:
         (("dipole = linear 0.5", "dipole = linear x"), "dipole"),
     ], ids=["bad-value", "missing", "bad-dipole-slope"])
     def test_descriptor_errors_name_the_key(self, tmp_path, edit, key):
-        with open(load_molecule("h2plus-morse").origin) as fh:
+        with open(os.path.join(DATA, "h2plus-morse.model")) as fh:
             text = fh.read()
         assert edit[0] in text
         d = tmp_path / "broken.model"
@@ -146,13 +151,12 @@ class TestLoadMolecule:
         with pytest.raises(ModelError, match=f"'{key}'"):
             load_molecule(str(d))
 
-    def test_tabulated_dipole_enters_the_fingerprint(self, h2plus, tmp_path):
+    def test_tabulated_dipole_enters_the_fingerprint(self, tmp_path):
         # an edited dipole table must change every cache key of the model
-        data = os.path.dirname(h2plus.origin)
-        r = np.loadtxt(os.path.join(data, "h2p_1ssg.tsv"))[:, 0]
+        r = np.loadtxt(os.path.join(DATA, "h2p_1ssg.tsv"))[:, 0]
         desc = tmp_path / "tabmu.model"
-        desc.write_text(f"vg = {os.path.join(data, 'h2p_1ssg.tsv')}\n"
-                        f"vu = {os.path.join(data, 'h2p_2psu.tsv')}\n"
+        desc.write_text(f"vg = {os.path.join(DATA, 'h2p_1ssg.tsv')}\n"
+                        f"vu = {os.path.join(DATA, 'h2p_2psu.tsv')}\n"
                         "dipole = mu.tsv\ntail-start = 12\n")
         np.savetxt(tmp_path / "mu.tsv", np.column_stack([r, 0.5 * r]))
         before = load_molecule(str(desc)).fingerprint
@@ -166,12 +170,34 @@ class TestLoadMolecule:
         assert load_molecule("h2plus-morse").fingerprint != h2plus.fingerprint
 
     def test_validate_rejects_repulsive_vg(self):
-        from floqep.molecule import MoleculeModel
         m = MoleculeModel(name="bad", vg_curve=exp_repulsive(2.0, 0.9),
                           vu_curve=exp_repulsive(2.0, 0.9), dipole=linear_dipole(0.5),
                           reduced_mass=918.0)
         with pytest.raises(ModelError, match="minimum"):
             m.validate()
+
+
+class TestPickle:
+    """A model pickles whole, so worker processes receive the model itself."""
+
+    @pytest.mark.parametrize("name", ["h2plus", "h2plus-morse", "in-memory"])
+    def test_round_trip_keeps_levels_and_determinants(self, name):
+        if name == "in-memory":
+            model = MoleculeModel(name="toy", vg_curve=morse_curve(0.1, 0.7, 2.0),
+                                  vu_curve=exp_repulsive(2.0, 0.9),
+                                  dipole=linear_dipole(0.5), reduced_mass=50.0)
+            grid = RadialGrid(r_min=0.4, r_max=14.0, n_points=501,
+                              ecs_radius=9.0, ecs_angle=0.3)
+        else:
+            model, grid = load_molecule(name), RadialGrid()
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy is not model and copy.fingerprint == model.fingerprint
+        assert ([lv.energy for lv in field_free_levels(copy, grid)]
+                == [lv.energy for lv in field_free_levels(model, grid)])
+        field = FieldPoint(600.0, 5e12)
+        for e in (-0.0105 - 1e-5j, -0.05 - 1e-4j):
+            assert (build_system(copy, field, grid).determinant(e)
+                    == build_system(model, field, grid).determinant(e))
 
 
 class TestFieldPoint:
@@ -193,6 +219,13 @@ class TestFieldPoint:
     def test_rejects_negative_intensity(self):
         with pytest.raises(ModelError, match="intensity"):
             FieldPoint(wavelength=800.0, intensity=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["wavelength", "intensity"])
+    def test_rejects_non_finite_values(self, name, value):
+        kwargs = {"wavelength": 800.0, "intensity": 1e12, name: value}
+        with pytest.raises(ModelError, match=f"{name} must be .* finite"):
+            FieldPoint(**kwargs)
 
 
 class TestRadialGrid:
