@@ -1,6 +1,7 @@
 """Laser-dressed resonances, exceptional-point maps, and loop transfer
 for two-state diatomic molecules."""
 
+from . import _lapack  # noqa: F401  (first: see its docstring)
 from .errors import ContinuationError, ConvergenceError, GridError, ModelError
 from .molecule import (
     FieldPoint,

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv as _dgtsv
 
+from ._lapack import dgtsv as _dgtsv
 from .errors import ConvergenceError, ModelError
 from .molecule import FieldPoint, MoleculeModel, RadialGrid, adiabatic_potentials
 

@@ -27,10 +27,10 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -94,6 +94,35 @@ def _require(args, *names):
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
         raise ModelError(f"missing required option(s): {flags} "
                          "(set as flag or config key)")
+
+
+class _DomainError(argparse.ArgumentTypeError, ValueError):
+    """A flag value outside the flag's domain: argparse reports it as given,
+    and a config value as a bad value of its key."""
+
+
+def _finite_float(strict, unit):
+    """An argparse ``type=``: a finite float that is positive (``strict``)
+    or non-negative; anything else is an error that names that domain."""
+    domain = f"{'positive' if strict else 'non-negative'} and finite ({unit})"
+
+    def convert(text):
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not (0 < x if strict else 0 <= x) or x == math.inf:
+            raise _DomainError(f"must be {domain}, got {text}")
+        return x
+    return convert
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line like every other refusal of ``main``:
+    ``error: ...`` first, then the usage."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
 
 
 def _require_non_negative(args, *names):
@@ -264,14 +293,11 @@ def _ep_key(model, grid, args, cand):
 
 
 def _check_refine_options(args):
-    """Reject --n-blocks and --i-cap values that no refinement can use,
-    before any scan or solve."""
+    """Reject an --n-blocks value that no refinement can use, before any
+    scan or solve."""
     if args.n_blocks < 2 or args.n_blocks % 2:
         raise ModelError(f"--n-blocks must be an even count >= 2, "
                          f"got {args.n_blocks}")
-    if not args.i_cap > 0:
-        raise ModelError(f"--i-cap must be positive (10^13 W/cm^2), "
-                         f"got {args.i_cap}")
 
 
 def _refine(model, cand, grid, n_blocks, i_cap):
@@ -290,6 +316,7 @@ def _refinements(args, model, grid, todo):
                                i_cap=args.i_cap)
     cands = [cand for _, cand in todo]
     if args.jobs > 1 and cands:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             yield from pool.map(refine, cands)
     else:
@@ -465,7 +492,7 @@ def cmd_scenario(args, model, grid):
 # --------------------------------------------------------------- parser
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="floqep",
         description="Laser-dressed molecular resonances, coalescence maps, "
                     "and parameter-plane loop transport.")
@@ -475,6 +502,8 @@ def _build_parser():
                                 metavar="command")
     subparsers = {}
     g = RadialGrid()
+    cap = _finite_float(True, "10^13 W/cm^2")
+    scan_edge = _finite_float(False, "nm")
 
     def add_command(name, func, help_, cache=False):
         sp = sub.add_parser(name, help=help_)
@@ -506,9 +535,9 @@ def _build_parser():
                      "field-free levels and upper-well curves")
     sp.add_argument("--v-max", type=int, default=None,
                     help="highest level to report (default: all)")
-    sp.add_argument("--lambda-min", type=float, default=0.0,
+    sp.add_argument("--lambda-min", type=scan_edge, default=0.0,
                     help="curve scan start (nm); scan off when empty window")
-    sp.add_argument("--lambda-max", type=float, default=0.0,
+    sp.add_argument("--lambda-max", type=scan_edge, default=0.0,
                     help="curve scan end (nm)")
     sp.add_argument("--lambda-step", type=float, default=25.0,
                     help="curve scan step (nm)")
@@ -541,7 +570,7 @@ def _build_parser():
     sp.add_argument("--window", type=float, nargs=2, default=(110.0, 900.0),
                     metavar=("LO", "HI"), help="wavelength window (nm)")
     sp.add_argument("--vplus-max", type=int, default=8)
-    sp.add_argument("--i-cap", type=float, default=0.6,
+    sp.add_argument("--i-cap", type=cap, default=0.6,
                     help="intensity scan ceiling (10^13 W/cm^2)")
     sp.add_argument("--n-blocks", type=int, default=2)
 
@@ -552,7 +581,7 @@ def _build_parser():
                     help="default: v + 1")
     sp.add_argument("--v-plus", type=int)
     sp.add_argument("--lambda-guess", type=float, help="nm")
-    sp.add_argument("--i-cap", type=float, default=0.6)
+    sp.add_argument("--i-cap", type=cap, default=0.6)
     sp.add_argument("--n-blocks", type=int, default=2)
 
     sp = add_command("loop", cmd_loop,

@@ -33,9 +33,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgbtrf as _zgbtrf
-from scipy.linalg.lapack import zgbtrs as _zgbtrs
 
+from ._lapack import zgbtrf as _zgbtrf
+from ._lapack import zgbtrs as _zgbtrs
 from .errors import ConvergenceError, GridError, ModelError
 from .molecule import FieldPoint, MoleculeModel, RadialGrid
 from .units import HARTREE_TO_INVCM

@@ -24,8 +24,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv as _dgtsv
 
+from ._lapack import dgtsv as _dgtsv
 from .errors import GridError, ModelError
 from .units import H2P_REDUCED_MASS, field_amplitude, photon_energy
 

@@ -18,7 +18,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import floqep
-from floqep import bound_states, cli, ep, loops
+from floqep import _lapack, bound_states, cli, ep, loops
 from floqep.bound_states import field_free_levels
 from floqep.cli import main
 from floqep.ep import EPCandidate, EPRecord, records_from_csv
@@ -611,6 +611,36 @@ class TestErrorExits:
         assert err.startswith("error:") and "i-cap" in err
         assert "10^13 W/cm^2" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["ep-map", "--window", "600", "660"], "--i-cap"),
+        (["ep-refine", "--v", "12", "--v-plus", "2", "--lambda-guess", "635.95"],
+         "--i-cap"),
+        (["levels", "--lambda-max", "700"], "--lambda-min"),
+        (["levels", "--lambda-min", "600"], "--lambda-max")])
+    def test_non_finite_flag_rejected_by_the_parser(self, tmp_path, capsys,
+                                                    argv, flag, value):
+        # an infinite --i-cap used to fail every candidate and exit 0, and
+        # a NaN scan edge to turn the curve scan off silently
+        assert main([*argv, f"{flag}={value}", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {flag}: must be ")
+        assert os.listdir(tmp_path) == []
+
+    def test_non_finite_config_value_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("i-cap = inf\n")
+        assert main(["ep-map", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "bad value 'inf' for key 'i-cap'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_scan_edge_stays_legal(self):
+        # --lambda-min 0 is the default, and turns the curve scan off
+        args = cli._build_parser()[0].parse_args(
+            ["levels", "--lambda-min", "0", "--lambda-max", "0"])
+        assert (args.lambda_min, args.lambda_max) == (0.0, 0.0)
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected_before_the_scan(self, tmp_path, capsys,
                                                      monkeypatch, jobs):
@@ -700,10 +730,63 @@ class TestStartUp:
         mod = importlib.import_module(module)
         assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
-    def test_cli_import_leaves_out_scipy_interpolate(self):
-        # scipy.interpolate alone costs about 0.1 s and 23 MB at start-up
-        code = "import sys, floqep.cli; print('scipy.interpolate' in sys.modules)"
+    @staticmethod
+    def run_fresh(code, *argv, flags=()):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(floqep.__file__)))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+        out = subprocess.run([sys.executable, *flags, "-c", code, *argv], env=env,
                              capture_output=True, text=True)
-        assert out.stdout.strip() == "False"
+        assert out.returncode == 0, out.stderr[-3000:]
+        return out
+
+    @staticmethod
+    def importers(importtime, name):
+        """The -X importtime lines of ``name`` and of each module that
+        imported it in turn, innermost first."""
+        chain, depth = [], None
+        for line in importtime.splitlines():
+            if not line.startswith("import time:") or "|" not in line:
+                continue
+            mod = line.rsplit("|", 1)[1]
+            indent = len(mod) - len(mod.lstrip())
+            if depth is None and mod.strip() == name or (
+                    depth is not None and indent < depth):
+                chain.append(line)
+                depth = indent
+        return chain
+
+    def test_cli_import_leaves_out_scipy_and_the_pool(self):
+        # at start-up the scipy.linalg package costs about 0.3 s and 18 MB,
+        # scipy.interpolate 0.1 s and 23 MB, the process pool 25 ms; -W error
+        # turns an ImportWarning of the by-path load into a failure
+        code = ("import sys, floqep.cli; print(*(m for m in ('scipy', "
+                "'scipy.linalg', 'scipy.interpolate', 'concurrent.futures') "
+                "if m in sys.modules))")
+        out = self.run_fresh(code, flags=("-W", "error", "-X", "importtime"))
+        loaded = out.stdout.split()
+        assert loaded == [], "\n".join(
+            line for m in loaded for line in self.importers(out.stderr, m))
+
+    def test_routines_match_scipy_in_either_import_order(self):
+        code = """if 1:
+            import sys
+            if sys.argv[1] == "scipy-first":
+                import scipy.linalg
+            from floqep import _lapack, load_molecule
+            from floqep.floquet import build_system
+            from floqep.molecule import FieldPoint, RadialGrid
+            from scipy.linalg import lapack
+            system = build_system(load_molecule("h2plus"),
+                                  FieldPoint(634.55, 2e12), RadialGrid(), 2)
+            d = system.determinant(-0.01 - 1e-4j)
+            print(all(getattr(_lapack, n) is getattr(lapack, n)
+                      for n in ("dgtsv", "zgbtrf", "zgbtrs")),
+                  d.real.hex(), d.imag.hex())"""
+        runs = [self.run_fresh(code, order).stdout.split()
+                for order in ("floqep-first", "scipy-first")]
+        assert runs[0][0] == "True" and runs[0] == runs[1]
+
+    def test_missing_wrapper_file_falls_back_to_scipy_linalg(self):
+        from scipy.linalg import lapack
+        module = _lapack._flapack("_no_such_module")
+        assert module is lapack
+        assert module.zgbtrf is _lapack.zgbtrf
