@@ -64,14 +64,13 @@ def _split_loop_sections(pairs):
 
 
 def _coerce(action, raw):
-    if action.nargs in (2, "+", "*"):
-        conv = action.type or str
-        vals = [conv(tok) for tok in raw.split()]
-        if isinstance(action.nargs, int) and len(vals) != action.nargs:
-            raise ValueError(f"want {action.nargs} values")
-        return vals
     if action.const is True:
         return raw.lower() in ("1", "true", "yes", "on")
+    if action.nargs == 2:
+        toks = raw.split()
+        if len(toks) != 2:
+            raise ValueError("want 2 values")
+        return [action.type(tok) for tok in toks]
     return (action.type or str)(raw)
 
 
@@ -101,17 +100,23 @@ class _DomainError(argparse.ArgumentTypeError, ValueError):
     and a config value as a bad value of its key."""
 
 
-def _finite_float(strict, unit):
-    """An argparse ``type=``: a finite float that is positive (``strict``)
-    or non-negative; anything else is an error that names that domain."""
-    domain = f"{'positive' if strict else 'non-negative'} and finite ({unit})"
+def _number(kind=float, low=None, strict=False, even=False, unit=None):
+    """An argparse ``type=``: a finite ``kind`` (float or int) that is above
+    ``low`` (``strict``) or at least ``low``, and even if ``even``; anything
+    else is an error that names that domain."""
+    domain = ("an even " if even else "a ") + ("integer" if kind is int else "finite number")
+    if low is not None:
+        domain += f" {'>' if strict else '>='} {low}"
+    if unit:
+        domain += f" ({unit})"
 
     def convert(text):
         try:
-            x = float(text)
+            x = kind(text)
         except ValueError:
             x = math.nan
-        if not (0 < x if strict else 0 <= x) or x == math.inf:
+        if not (math.isfinite(x) and (low is None or (x > low if strict else x >= low))
+                and not (even and x % 2)):
             raise _DomainError(f"must be {domain}, got {text}")
         return x
     return convert
@@ -123,14 +128,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"error: {message}\n{self.format_usage()}")
-
-
-def _require_non_negative(args, *names):
-    for n in names:
-        value = getattr(args, n)
-        if value is not None and value < 0:
-            raise ModelError(f"--{n.replace('_', '-')} must be non-negative, "
-                             f"got {value}")
 
 
 # ------------------------------------------------------------- commands
@@ -159,16 +156,10 @@ def _write_csv(path, header, rows):
 def cmd_levels(args, model, grid):
     """Field-free level table, upper-well curves over a wavelength grid,
     and the crossing-diagram overlay."""
-    if not 0 < args.lambda_step < np.inf:
-        raise ModelError(f"--lambda-step must be positive and finite, got {args.lambda_step}")
-    if not 0 < args.curve_intensity < np.inf:
-        raise ModelError(f"--curve-intensity must be positive and finite (W/cm^2), "
-                         f"got {args.curve_intensity}")
     scan = args.lambda_max > args.lambda_min
     if scan and args.lambda_min <= 0:
         raise ModelError(f"--lambda-min must be positive (nm) when the curve "
                          f"scan runs, got {args.lambda_min}")
-    _require_non_negative(args, "v_max", "vplus_max")
     levels = field_free_levels(model, grid)
     truncated = args.v_max is not None and args.v_max >= len(levels)
     if args.v_max is not None:
@@ -218,10 +209,6 @@ def cmd_adiabatic(args, model, grid):
     """Dressed adiabatic potentials and upper-well levels at one field
     point."""
     _require(args, "wavelength", "intensity")
-    _require_non_negative(args, "vplus_max")
-    if not args.intensity > 0:
-        # with no field the dressed adiabats cross, and no upper well exists
-        raise ModelError(f"--intensity must be positive (W/cm^2), got {args.intensity}")
     field = FieldPoint(args.wavelength, args.intensity)
     ref = model.vg_curve.asymptote
     r_lo = max(model.vg_curve.r_lo, model.vu_curve.r_lo, 0.3, grid.r_min)
@@ -262,7 +249,7 @@ def cmd_resonance(args, model, grid):
 
     def solve():
         levels = field_free_levels(model, grid)
-        if not 0 <= args.v < len(levels):
+        if args.v >= len(levels):
             raise ModelError(f"v={args.v} outside the {len(levels)} "
                              "bound levels")
         res = ramp_resonance(model, field, levels[args.v].energy, args.steps,
@@ -292,14 +279,6 @@ def _ep_key(model, grid, args, cand):
                           n_blocks=args.n_blocks, i_cap=args.i_cap)
 
 
-def _check_refine_options(args):
-    """Reject an --n-blocks value that no refinement can use, before any
-    scan or solve."""
-    if args.n_blocks < 2 or args.n_blocks % 2:
-        raise ModelError(f"--n-blocks must be an even count >= 2, "
-                         f"got {args.n_blocks}")
-
-
 def _refine(model, cand, grid, n_blocks, i_cap):
     """refine_ep, with a refinement failure returned as its message."""
     try:
@@ -325,13 +304,9 @@ def _refinements(args, model, grid, todo):
 
 def cmd_ep_map(args, model, grid):
     """Locate and refine every coalescence seeded inside the window."""
-    _check_refine_options(args)
-    if args.jobs < 1:
-        raise ModelError(f"--jobs must be at least 1, got {args.jobs}")
-    _require_non_negative(args, "v_max", "vplus_max")
     lo, hi = args.window
-    if not 0 < lo < hi:
-        raise ModelError(f"--window needs 0 < LO < HI (nm), got {lo:g} {hi:g}")
+    if not lo < hi:
+        raise ModelError(f"--window needs LO < HI (nm), got {lo:g} {hi:g}")
     cache = SolveCache(args.cache)
     cands = approximate_eps(model, range(args.v_max + 1),
                             range(args.vplus_max + 1), (lo, hi), grid)
@@ -376,10 +351,6 @@ def cmd_ep_map(args, model, grid):
 def cmd_ep_refine(args, model, grid):
     """Refine a single candidate to its coalescence point."""
     _require(args, "v", "v_plus", "lambda_guess")
-    _require_non_negative(args, "v_plus")
-    if not 0 < args.lambda_guess < np.inf:
-        raise ModelError(f"--lambda-guess must be positive and finite, got {args.lambda_guess}")
-    _check_refine_options(args)
     partner = args.v_partner if args.v_partner is not None else args.v + 1
     cand = EPCandidate(v=args.v, v_partner=partner, v_plus=args.v_plus,
                        lambda_guess=args.lambda_guess)
@@ -502,8 +473,15 @@ def _build_parser():
                                 metavar="command")
     subparsers = {}
     g = RadialGrid()
-    cap = _finite_float(True, "10^13 W/cm^2")
-    scan_edge = _finite_float(False, "nm")
+    # each numeric flag declares its domain, so a value no solve can use is
+    # refused at parse time, from the command line or a config file
+    finite = _number()
+    positive = _number(low=0, strict=True)
+    non_negative = _number(low=0)
+    cap = _number(low=0, strict=True, unit="10^13 W/cm^2")
+    level = _number(int, low=0)
+    count = _number(int, low=0, strict=True)
+    blocks = _number(int, low=2, even=True)
 
     def add_command(name, func, help_, cache=False):
         sp = sub.add_parser(name, help=help_)
@@ -515,17 +493,17 @@ def _build_parser():
         if cache:
             sp.add_argument("--cache",
                             help="JSON cache file for resumable solves")
-        sp.add_argument("--grid.r-min", dest="grid_r_min", type=float,
+        sp.add_argument("--grid.r-min", dest="grid_r_min", type=finite,
                         default=g.r_min, help="grid start (bohr)")
-        sp.add_argument("--grid.r-max", dest="grid_r_max", type=float,
+        sp.add_argument("--grid.r-max", dest="grid_r_max", type=finite,
                         default=g.r_max, help="grid end (bohr)")
-        sp.add_argument("--grid.n-points", dest="grid_n_points", type=int,
+        sp.add_argument("--grid.n-points", dest="grid_n_points", type=count,
                         default=g.n_points, help="number of grid points")
         sp.add_argument("--grid.ecs-radius", dest="grid_ecs_radius",
-                        type=float, default=g.ecs_radius,
+                        type=finite, default=g.ecs_radius,
                         help="complex-scaling corner (bohr)")
         sp.add_argument("--grid.ecs-angle", dest="grid_ecs_angle",
-                        type=float, default=g.ecs_angle,
+                        type=finite, default=g.ecs_angle,
                         help="complex-scaling angle (rad)")
         sp.set_defaults(func=func)
         subparsers[name] = sp
@@ -533,81 +511,82 @@ def _build_parser():
 
     sp = add_command("levels", cmd_levels,
                      "field-free levels and upper-well curves")
-    sp.add_argument("--v-max", type=int, default=None,
+    sp.add_argument("--v-max", type=level, default=None,
                     help="highest level to report (default: all)")
-    sp.add_argument("--lambda-min", type=scan_edge, default=0.0,
+    sp.add_argument("--lambda-min", type=non_negative, default=0.0,
                     help="curve scan start (nm); scan off when empty window")
-    sp.add_argument("--lambda-max", type=scan_edge, default=0.0,
+    sp.add_argument("--lambda-max", type=non_negative, default=0.0,
                     help="curve scan end (nm)")
-    sp.add_argument("--lambda-step", type=float, default=25.0,
+    sp.add_argument("--lambda-step", type=positive, default=25.0,
                     help="curve scan step (nm)")
-    sp.add_argument("--vplus-max", type=int, default=3,
+    sp.add_argument("--vplus-max", type=level, default=3,
                     help="highest upper-well level in the curves")
-    sp.add_argument("--curve-intensity", type=float,
+    sp.add_argument("--curve-intensity", type=positive,
                     default=DIAGNOSTIC_INTENSITY,
                     help="probe intensity for the curves (W/cm^2)")
 
     sp = add_command("adiabatic", cmd_adiabatic,
                      "dressed adiabatic potentials at one field point")
-    sp.add_argument("--wavelength", type=float, help="nm")
-    sp.add_argument("--intensity", type=float, help="W/cm^2")
-    sp.add_argument("--vplus-max", type=int, default=8)
+    sp.add_argument("--wavelength", type=positive, help="nm")
+    # with no field the dressed adiabats cross, and no upper well exists
+    sp.add_argument("--intensity", type=positive, help="W/cm^2")
+    sp.add_argument("--vplus-max", type=level, default=8)
 
     sp = add_command("resonance", cmd_resonance, "single Floquet solve",
                      cache=True)
-    sp.add_argument("--wavelength", type=float, help="nm")
-    sp.add_argument("--intensity", type=float, help="W/cm^2")
-    sp.add_argument("--v", type=int, help="field-free level to continue from")
-    sp.add_argument("--steps", type=int, default=8,
+    sp.add_argument("--wavelength", type=positive, help="nm")
+    sp.add_argument("--intensity", type=non_negative, help="W/cm^2")
+    sp.add_argument("--v", type=level, help="field-free level to continue from")
+    sp.add_argument("--steps", type=count, default=8,
                     help="intensity continuation steps")
-    sp.add_argument("--n-blocks", type=int, default=2)
+    sp.add_argument("--n-blocks", type=blocks, default=2)
 
     sp = add_command("ep-map", cmd_ep_map,
                      "locate and refine coalescences in a window", cache=True)
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--jobs", type=count, default=1,
                     help="worker processes for refinements")
-    sp.add_argument("--v-max", type=int, default=16)
-    sp.add_argument("--window", type=float, nargs=2, default=(110.0, 900.0),
+    sp.add_argument("--v-max", type=level, default=16)
+    sp.add_argument("--window", type=positive, nargs=2, default=(110.0, 900.0),
                     metavar=("LO", "HI"), help="wavelength window (nm)")
-    sp.add_argument("--vplus-max", type=int, default=8)
+    sp.add_argument("--vplus-max", type=level, default=8)
     sp.add_argument("--i-cap", type=cap, default=0.6,
                     help="intensity scan ceiling (10^13 W/cm^2)")
-    sp.add_argument("--n-blocks", type=int, default=2)
+    sp.add_argument("--n-blocks", type=blocks, default=2)
 
     sp = add_command("ep-refine", cmd_ep_refine,
                      "refine one coalescence candidate", cache=True)
-    sp.add_argument("--v", type=int)
-    sp.add_argument("--v-partner", type=int, default=None,
+    sp.add_argument("--v", type=level)
+    sp.add_argument("--v-partner", type=level, default=None,
                     help="default: v + 1")
-    sp.add_argument("--v-plus", type=int)
-    sp.add_argument("--lambda-guess", type=float, help="nm")
+    sp.add_argument("--v-plus", type=level)
+    sp.add_argument("--lambda-guess", type=positive, help="nm")
     sp.add_argument("--i-cap", type=cap, default=0.6)
-    sp.add_argument("--n-blocks", type=int, default=2)
+    sp.add_argument("--n-blocks", type=blocks, default=2)
 
     sp = add_command("loop", cmd_loop,
                      "transport a resonance around a parameter-plane loop")
-    sp.add_argument("--lambda0", type=float, help="nm")
-    sp.add_argument("--d-lambda", type=float,
+    sp.add_argument("--lambda0", type=positive, help="nm")
+    sp.add_argument("--d-lambda", type=finite,
                     help="wavelength radius (nm); sign sets handedness")
-    sp.add_argument("--i-max", type=float, help="peak intensity "
+    sp.add_argument("--i-max", type=positive, help="peak intensity "
                     "(10^13 W/cm^2)")
-    sp.add_argument("--t-f", type=float, default=30.0,
+    sp.add_argument("--t-f", type=positive, default=30.0,
                     help="pulse duration (fs)")
-    sp.add_argument("--n-steps", type=int, default=200)
-    sp.add_argument("--v-start", type=int)
+    sp.add_argument("--n-steps", type=count, default=200)
+    sp.add_argument("--v-start", type=level)
     sp.add_argument("--reverse", action="store_true",
                     help="traverse the contour backwards")
-    sp.add_argument("--n-blocks", type=int, default=2)
+    sp.add_argument("--n-blocks", type=blocks, default=2)
     sp.add_argument("--ep-csv",
                     help="coalescence CSV to mark on the contour plot")
 
     sp = add_command("scenario", cmd_scenario,
                      "chain loops from a config file")
-    sp.add_argument("--t-f", type=float, default=30.0,
+    sp.add_argument("--t-f", type=positive, default=30.0,
                     help="default pulse duration (fs) for loop sections")
-    sp.add_argument("--n-steps", type=int, default=200,
+    sp.add_argument("--n-steps", type=count, default=200,
                     help="default angle steps for loop sections")
-    sp.add_argument("--n-blocks", type=int, default=2)
+    sp.add_argument("--n-blocks", type=blocks, default=2)
 
     return parser, subparsers
 

@@ -63,6 +63,10 @@ class LoopSpec:
             raise ModelError(f"i_max must be positive and finite, got {self.i_max}")
         if not 0.0 < self.t_f < math.inf:
             raise ModelError(f"t_f must be positive and finite, got {self.t_f}")
+        if not abs(self.d_lambda) < self.lambda0:
+            raise ModelError(f"|d_lambda| must be below lambda0, so the contour keeps "
+                             f"a positive wavelength, got d_lambda={self.d_lambda}, "
+                             f"lambda0={self.lambda0}")
         if self.n_steps < 100:
             raise ModelError(f"n_steps must be >= 100, got {self.n_steps}")
 

@@ -372,15 +372,16 @@ def parse_key_values(text: str, source: str) -> dict[str, str]:
 def key_value(pairs: dict[str, str], key: str, conv, where: str, default=None):
     """conv(pairs[key]), or ``default`` when the key is absent; a missing key
     without a default, or a value conv rejects, raises a ModelError that
-    names the key."""
+    names the key and conv's reason."""
     if key not in pairs:
         if default is None:
             raise ModelError(f"{where}: missing required key {key!r}")
         return default
     try:
         return conv(pairs[key])
-    except (TypeError, ValueError):
-        raise ModelError(f"{where}: bad value {pairs[key]!r} for key {key!r}") from None
+    except (TypeError, ValueError) as ex:
+        raise ModelError(f"{where}: bad value {pairs[key]!r} for key {key!r}: "
+                         f"{ex}") from None
 
 
 def _load_table(path: str) -> tuple[np.ndarray, np.ndarray]:

@@ -67,7 +67,7 @@ class TestLevelsCommand:
         assert main(["levels", "--out", str(tmp_path),
                      "--lambda-min", "500", "--lambda-max", "600",
                      "--lambda-step", step]) == 2
-        assert "--lambda-step must be positive" in capsys.readouterr().err
+        assert "argument --lambda-step: must be" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("intensity", ["0", "-1000", "nan", "inf"])
@@ -482,6 +482,21 @@ class TestLoopCommand:
         assert err.startswith("error:") and str(eps) in err and repr(column) in err
         assert not (tmp_path / "loop.csv").exists()
 
+    def test_contour_through_zero_wavelength_rejected_before_the_loop(
+            self, tmp_path, capsys, monkeypatch):
+        # used to exit 2 only after the first solves, on a grid too coarse
+        # for the de Broglie wavelength
+        def no_loop(*args, **kwargs):
+            raise AssertionError("the loop ran")
+
+        monkeypatch.setattr(cli, "follow_resonance", no_loop)
+        assert main(["loop", "--lambda0", "634.55", "--d-lambda=-700",
+                     "--i-max", "0.3", "--v-start", "12",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "|d_lambda| must be below lambda0" in err
+        assert os.listdir(tmp_path) == []
+
 
 def scenario_config(tmp_path, *, v_to=(2, 2)):
     cfg = tmp_path / "scenario.cfg"
@@ -586,9 +601,12 @@ class TestErrorExits:
         assert err.startswith("error:") and "n-blocks" in err
         assert not any(f.endswith(".json") for f in os.listdir(tmp_path))
 
-    @pytest.mark.parametrize("v, partner", [("-1", "0"), ("12", "12")])
+    @pytest.mark.parametrize("v, partner, text", [
+        pytest.param("-1", "0", "argument --v: must be", id="-1-0"),
+        pytest.param("12", "12", "pair (12, 12)", id="12-12")])
     def test_bad_level_pair_rejected_before_any_solve(self, tmp_path, capsys,
-                                                      monkeypatch, v, partner):
+                                                      monkeypatch, v, partner,
+                                                      text):
         # (-1, 0) used to walk level 18 against 0, (12, 12) a level against itself
         def no_solve(*args, **kwargs):
             raise AssertionError("a system was built for a bad pair")
@@ -598,7 +616,7 @@ class TestErrorExits:
                      "--v-plus", "1", "--lambda-guess", "600",
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"pair ({v}, {partner})" in err
+        assert err.startswith("error:") and text in err
 
     @pytest.mark.parametrize("i_cap", ["-0.5", "0"])
     @pytest.mark.parametrize("argv", [
@@ -674,7 +692,7 @@ class TestErrorExits:
                                                             capsys, argv, flag):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"{flag} must be non-negative" in err
+        assert err.startswith("error:") and f"argument {flag}: must be" in err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv, name", [
@@ -686,10 +704,12 @@ class TestErrorExits:
          "wavelength"),
         (["resonance", "--wavelength", "600", "--intensity=-inf", "--v", "3"],
          "intensity"),
-        (["loop", "--lambda0", "634.55", "--d-lambda", "-5", "--i-max", "nan",
-          "--v-start", "12"], "i_max"),
-        (["loop", "--lambda0", "634.55", "--d-lambda", "-5", "--i-max", "0.3",
-          "--t-f", "nan", "--v-start", "12"], "t_f")])
+        pytest.param(["loop", "--lambda0", "634.55", "--d-lambda", "-5",
+                      "--i-max", "nan", "--v-start", "12"],
+                     "argument --i-max: must be", id="argv6-i_max"),
+        pytest.param(["loop", "--lambda0", "634.55", "--d-lambda", "-5",
+                      "--i-max", "0.3", "--t-f", "nan", "--v-start", "12"],
+                     "argument --t-f: must be", id="argv7-t_f")])
     def test_unusable_laser_parameter_rejected_before_any_write(
             self, tmp_path, capsys, argv, name):
         # each used to fail late, some after writing their CSVs; with no
@@ -721,6 +741,61 @@ class TestErrorExits:
         assert main([*argv, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err
+
+
+def numeric_flags():
+    """(command, flag, is_int) for each numeric flag of each command."""
+    _, subparsers = cli._build_parser()
+    return [(name, action.option_strings[0], isinstance(action.type("2"), int))
+            for name, sp in subparsers.items() for action in sp._actions
+            if action.type is not None]
+
+
+class TestFlagDomains:
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param(command, flag, value, id=f"{command}{flag}={value}")
+        for command, flag, is_int in numeric_flags()
+        for value in ("nan", "inf", "-inf") + (("-1",) if is_int else ())])
+    def test_value_outside_the_domain_refused_at_parse_time(
+            self, tmp_path, capsys, command, flag, value):
+        # --window takes the value as LO, with HI 700; argparse reads a
+        # separate "-inf" token as an option, so that case fails on the count
+        out = tmp_path / "out"
+        hi = " 700" if flag == "--window" else ""
+        argv = [flag, value, "700"] if hi else [f"{flag}={value}"]
+        assert main([command, *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
+
+        key = flag[2:]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}{hi}\n")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"for key '{key}': must be " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, dest, value", [
+        (["loop", "--d-lambda=-5"], "d_lambda", -5.0),
+        (["loop", "--d-lambda", "0"], "d_lambda", 0.0),
+        (["levels", "--lambda-min", "0"], "lambda_min", 0.0),
+        (["resonance", "--intensity", "0"], "intensity", 0.0),
+        (["resonance", "--v", "0"], "v", 0),
+        (["ep-refine", "--v", "0"], "v", 0),
+        (["levels", "--vplus-max", "0"], "vplus_max", 0),
+        (["ep-map", "--vplus-max", "0"], "vplus_max", 0),
+        (["levels", "--grid.r-min", "0"], "grid_r_min", 0.0),
+        (["levels", "--grid.r-min=-1"], "grid_r_min", -1.0)])
+    def test_edge_values_stay_legal(self, argv, dest, value):
+        got = getattr(cli._build_parser()[0].parse_args(argv), dest)
+        assert (got, type(got)) == (value, type(value))
+
+    def test_every_numeric_flag_declares_its_domain(self):
+        # a bare type=float or type=int would let nan, inf or -1 through
+        _, subparsers = cli._build_parser()
+        bare = [(name, action.option_strings[0])
+                for name, sp in subparsers.items() for action in sp._actions
+                if action.type in (float, int)]
+        assert bare == []
 
 
 class TestStartUp:

@@ -268,6 +268,18 @@ class TestRefinedRecord:
                      gap_residual=0.0, e_ep=0j)
 
 
+class TestPhotonBlocks:
+    def test_two_block_bias_dwarfs_the_four_block_residual(self, h2plus):
+        # the README's "Photon blocks" figures: from 2 to 4 blocks the (12,13)
+        # EP moves by 1.84 nm, from 4 to 6 by only 0.048 nm
+        cand = EPCandidate(v=12, v_partner=13, v_plus=2, lambda_guess=635.96)
+        recs = [refine_ep(h2plus, cand, n_blocks=nb) for nb in (2, 4, 6)]
+        assert all(r.gap_residual < 1e-8 for r in recs)
+        lam = [r.lambda_ep for r in recs]
+        assert lam[1] - lam[0] == pytest.approx(1.843, abs=0.005)
+        assert lam[2] - lam[1] == pytest.approx(0.048, abs=0.002)
+
+
 class TestSerialization:
     RECORDS = [
         EPRecord(pair=(12, 13), lambda_ep=634.550197362718,

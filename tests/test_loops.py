@@ -64,6 +64,20 @@ class TestLoopSpec:
         with pytest.raises(ModelError, match=f"{name} must be .*finite"):
             LoopSpec(**kwargs)
 
+    @pytest.mark.parametrize("lambda0, d_lambda", [
+        (math.nan, 5.0), (600.0, math.nan), (600.0, 600.0), (600.0, -700.0),
+        (-600.0, 0.0)])
+    def test_rejects_a_contour_off_positive_wavelengths(self, lambda0, d_lambda):
+        # -700 nm about 634.55 nm used to fail only on the grid, at the first
+        # solve past zero wavelength
+        with pytest.raises(ModelError, match=r"\|d_lambda\| must be below lambda0"):
+            LoopSpec(lambda0=lambda0, d_lambda=d_lambda, i_max=0.2, t_f=30.0)
+
+    @pytest.mark.parametrize("d_lambda", [0.0, -5.0, -599.0])
+    def test_zero_and_negative_radius_stay_legal(self, d_lambda):
+        assert LoopSpec(lambda0=600.0, d_lambda=d_lambda, i_max=0.2,
+                        t_f=30.0).d_lambda == d_lambda
+
 
 class TestLoopGeometry:
     SPEC = LoopSpec(lambda0=600.0, d_lambda=5.0, i_max=0.2, t_f=30.0)
