@@ -5,7 +5,8 @@ come from tridiagonal boundary-value solves, eigenvalues are bracketed by node
 counting (Sturm-safe, no missed or duplicated levels) and polished by the
 matching-derivative (Cooley) Newton correction.  Used for
 field-free diabatic levels and for quasi-bound levels of the upper adiabatic
-potential treated as a plain well with a box boundary.
+potential treated as a plain well with a box boundary; both families are
+solved on the run's ``RadialGrid`` (its span and point count).
 """
 
 from __future__ import annotations
@@ -166,68 +167,38 @@ class _Shooter:
         raise ConvergenceError(f"level {v_target} did not converge")
 
 
-def _domain(potential, r_min, r_max):
-    lo = getattr(potential, "r_lo", None)
-    hi = getattr(potential, "r_hi", None)
-    if r_min is None:
-        r_min = lo if lo is not None else 0.1
-    if r_max is None:
-        r_max = hi if (hi is not None and math.isfinite(hi)) else 30.0
-    if not r_max > r_min:
-        raise ModelError(f"empty radial domain [{r_min}, {r_max}]")
-    return float(r_min), float(r_max)
-
-
 def vibrational_levels(potential, mass: float, v_max: int | None = None, *,
-                       r_min: float | None = None, r_max: float | None = None,
-                       n_points: int = 12001,
+                       r_min: float, r_max: float, n_points: int,
                        asymptote: float | None = None) -> list[BoundLevel]:
-    """Bound levels v = 0..v_max of a single-channel radial potential.
+    """Bound levels v = 0..v_max of a single-channel radial potential on
+    ``n_points`` uniform points from ``r_min`` to ``r_max`` (bohr).
 
-    ``potential`` is any callable of R (bohr) returning hartree; curve objects
-    expose their domain and dissociation limit, otherwise pass ``asymptote``
-    (energies are referenced to it, and only levels below it count as bound).
-    With no finite asymptote the box spectrum is returned and ``v_max`` is
-    required.  Returns fewer levels when the well runs out of bound states.
+    ``potential`` is any callable of R (bohr) returning hartree.  Energies
+    are referenced to ``asymptote`` (default: the potential's own
+    ``asymptote``), and only levels below it count as bound.  Returns fewer
+    levels when the well runs out of bound states.
     """
     if mass <= 0:
         raise ModelError(f"mass must be positive, got {mass}")
     if v_max is not None and v_max < 0:
         raise ModelError(f"v_max must be non-negative, got {v_max}")
-    r_lo, r_hi = _domain(potential, r_min, r_max)
-    r = np.linspace(r_lo, r_hi, n_points)
-    vv = np.asarray(potential(r), dtype=float)
-
+    if not r_max > r_min:
+        raise ModelError(f"empty radial domain [{r_min}, {r_max}]")
+    r = np.linspace(r_min, r_max, n_points)
     if asymptote is None:
-        asymptote = getattr(potential, "asymptote", None)
-    if asymptote is None and v_max is None:
-        raise ModelError("v_max is required for a potential without a dissociation limit")
-
-    ref = float(asymptote) if asymptote is not None else 0.0
-    vv = vv - ref
+        asymptote = potential.asymptote
+    vv = np.asarray(potential(r), dtype=float) - float(asymptote)
 
     imin = int(np.argmin(vv))
     if imin in (0, len(vv) - 1):
         raise ModelError("potential has no minimum inside the domain")
     floor = float(vv[imin])
+    cap = -1e-13
+    if floor >= cap:
+        return []
 
-    shooter = _Shooter(vv, (r_hi - r_lo) / (n_points - 1), mass)
-
-    if asymptote is not None:
-        cap = -1e-13
-        if floor >= cap:
-            return []
-        n_bound = shooter.count_nodes(cap)
-    else:
-        cap = max(float(vv[0]), float(vv[-1]), floor + 1.0)
-        for _ in range(60):
-            n_bound = shooter.count_nodes(cap)
-            if n_bound > v_max:
-                break
-            cap = floor + 2.0 * (cap - floor)
-        else:
-            raise ConvergenceError(f"could not bracket {v_max + 1} box levels")
-
+    shooter = _Shooter(vv, (r_max - r_min) / (n_points - 1), mass)
+    n_bound = shooter.count_nodes(cap)
     want = n_bound if v_max is None else min(v_max + 1, n_bound)
     levels = []
     lo = floor + 1e-14 * max(1.0, abs(floor))
@@ -251,27 +222,28 @@ def field_free_levels(model: MoleculeModel, grid: RadialGrid) -> list[BoundLevel
                               n_points=grid.n_points)
 
 
-def adiabatic_levels(model: MoleculeModel, field: FieldPoint,
-                     vplus_max: int) -> list[BoundLevel]:
-    """Quasi-bound levels of the upper adiabatic potential V_plus.
+def adiabatic_levels(model: MoleculeModel, field: FieldPoint, vplus_max: int,
+                     grid: RadialGrid | None = None) -> list[BoundLevel]:
+    """Quasi-bound levels of the upper adiabatic potential V_plus on the
+    span and spacing of ``grid`` (default RadialGrid()).
 
-    V_plus is treated as a plain single-channel well with a box boundary at
-    25 bohr (6001 points); continuum coupling is ignored at this stage.
-    Energies come out relative to the shared dissociation limit.  Returns an
-    empty set when the well holds no level at this field point.
+    V_plus is treated as a plain single-channel well walled in at the grid
+    ends; continuum coupling is ignored at this stage.  Energies come out
+    relative to the shared dissociation limit.  Returns an empty set when
+    the well holds no level at this field point.
     """
     if field.intensity == 0.0:
         raise ModelError("zero-field adiabat undefined at crossing")
+    grid = grid if grid is not None else RadialGrid()
     ref = model.vg_curve.asymptote
 
     def vplus(r):
         return adiabatic_potentials(model, field, r)[0] - ref
 
-    r_lo = max(model.vg_curve.r_lo, model.vu_curve.r_lo, 0.3)
     try:
         return vibrational_levels(vplus, model.reduced_mass, vplus_max,
-                                  r_min=r_lo, r_max=25.0, n_points=6001,
-                                  asymptote=0.0)
+                                  r_min=grid.r_min, r_max=grid.r_max,
+                                  n_points=grid.n_points, asymptote=0.0)
     except ModelError as err:
         if "no minimum" in str(err):
             return []

@@ -104,7 +104,7 @@ def _number(kind=float, low=None, strict=False, even=False, unit=None):
     """An argparse ``type=``: a finite ``kind`` (float or int) that is above
     ``low`` (``strict``) or at least ``low``, and even if ``even``; anything
     else is an error that names that domain."""
-    domain = ("an even " if even else "a ") + ("integer" if kind is int else "finite number")
+    domain = "an even integer" if even else "an integer" if kind is int else "a finite number"
     if low is not None:
         domain += f" {'>' if strict else '>='} {low}"
     if unit:
@@ -122,9 +122,32 @@ def _number(kind=float, low=None, strict=False, even=False, unit=None):
     return convert
 
 
+# each numeric flag declares its domain with one of these, so a value no
+# solve can use is refused at parse time, from the command line or a config
+# file; a scenario loop section converts its keys with the objects of the
+# loop flags of those names (v-from and v-to are level indices)
+_FINITE = _number()
+_POSITIVE = _number(low=0, strict=True)
+_NON_NEGATIVE = _number(low=0)
+_CAP = _number(low=0, strict=True, unit="10^13 W/cm^2")
+_LEVEL = _number(int, low=0)
+_COUNT = _number(int, low=0, strict=True)
+_BLOCKS = _number(int, low=2, even=True)
+_LOOP_SECTION = {"lambda0": _POSITIVE, "d-lambda": _FINITE, "i-max": _POSITIVE,
+                 "t-f": _POSITIVE, "n-steps": _COUNT, "v-from": _LEVEL,
+                 "v-to": _LEVEL}
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line like every other refusal of ``main``:
-    ``error: ...`` first, then the usage."""
+    ``error: ...`` first, then the usage.  Any negative float spelling
+    (``-1e-3``, ``-inf``) is a value, where argparse takes only ``-5`` and
+    ``-.5`` and reads the rest as option names."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
 
     def error(self, message):
         self.exit(2, f"error: {message}\n{self.format_usage()}")
@@ -176,7 +199,7 @@ def cmd_levels(args, model, grid):
     rows = []
     for lam in lam_grid:
         ls = adiabatic_levels(model, FieldPoint(lam, args.curve_intensity),
-                              args.vplus_max)
+                              args.vplus_max, grid)
         for lv in ls:
             rows.append([f"{lam:.12g}", lv.v, f"{lv.energy:.12g}"])
             curves.setdefault(lv.v, []).append((lam, lv.energy))
@@ -211,22 +234,21 @@ def cmd_adiabatic(args, model, grid):
     _require(args, "wavelength", "intensity")
     field = FieldPoint(args.wavelength, args.intensity)
     ref = model.vg_curve.asymptote
-    r_lo = max(model.vg_curve.r_lo, model.vu_curve.r_lo, 0.3, grid.r_min)
-    r = np.linspace(r_lo, grid.r_max, 2001)
+    r = np.linspace(grid.r_min, grid.r_max, 2001)
     upper, lower = adiabatic_potentials(model, field, r)
     _write_csv(os.path.join(args.out, "adiabatic_curves.csv"),
                ["r_bohr", "v_plus_hartree", "v_minus_hartree"],
                [[f"{ri:.12g}", f"{up:.12g}", f"{lo:.12g}"]
                 for ri, up, lo in zip(r, upper, lower)])
 
-    ls = adiabatic_levels(model, field, args.vplus_max)
+    ls = adiabatic_levels(model, field, args.vplus_max, grid)
     _write_csv(os.path.join(args.out, "adiabatic_levels.csv"),
                ["v_plus", "energy_hartree"],
                [[lv.v, f"{lv.energy:.12g}"] for lv in ls])
 
     series = [("V+", list(r), list(upper - ref)),
               ("V-", list(r), list(lower - ref))]
-    series += [("", [r_lo, grid.r_max], [lv.energy, lv.energy]) for lv in ls]
+    series += [("", [grid.r_min, grid.r_max], [lv.energy, lv.energy]) for lv in ls]
     line_plot(os.path.join(args.out, "adiabatic.svg"), series,
               title=f"{model.name} dressed adiabats at {args.wavelength:g} nm",
               x_label="R (bohr)", y_label="E - E_diss (hartree)")
@@ -420,14 +442,17 @@ def cmd_scenario(args, model, grid):
     loops = []
     for idx in sorted(args.loop_sections):
         sec = args.loop_sections[idx]
+        unknown = sec.keys() - _LOOP_SECTION.keys()
+        if unknown:
+            raise ModelError(f"loop{idx} section: unknown key {min(unknown)!r}")
 
-        def get(key, conv=float, default=None):
-            return key_value(sec, key, conv, f"loop{idx} section", default)
+        def get(key, default=None):
+            return key_value(sec, key, _LOOP_SECTION[key], f"loop{idx} section", default)
 
         spec = LoopSpec(lambda0=get("lambda0"), d_lambda=get("d-lambda"),
-                        i_max=get("i-max"), t_f=get("t-f", default=args.t_f),
-                        n_steps=get("n-steps", int, args.n_steps))
-        loops.append((spec, (get("v-from", int), get("v-to", int))))
+                        i_max=get("i-max"), t_f=get("t-f", args.t_f),
+                        n_steps=get("n-steps", args.n_steps))
+        loops.append((spec, (get("v-from"), get("v-to"))))
 
     trajectories = run_scenario(model, loops, grid, n_blocks=args.n_blocks)
     transfers = [(t.v_start, t.v_end) for t in trajectories]
@@ -473,15 +498,6 @@ def _build_parser():
                                 metavar="command")
     subparsers = {}
     g = RadialGrid()
-    # each numeric flag declares its domain, so a value no solve can use is
-    # refused at parse time, from the command line or a config file
-    finite = _number()
-    positive = _number(low=0, strict=True)
-    non_negative = _number(low=0)
-    cap = _number(low=0, strict=True, unit="10^13 W/cm^2")
-    level = _number(int, low=0)
-    count = _number(int, low=0, strict=True)
-    blocks = _number(int, low=2, even=True)
 
     def add_command(name, func, help_, cache=False):
         sp = sub.add_parser(name, help=help_)
@@ -493,17 +509,17 @@ def _build_parser():
         if cache:
             sp.add_argument("--cache",
                             help="JSON cache file for resumable solves")
-        sp.add_argument("--grid.r-min", dest="grid_r_min", type=finite,
+        sp.add_argument("--grid.r-min", dest="grid_r_min", type=_FINITE,
                         default=g.r_min, help="grid start (bohr)")
-        sp.add_argument("--grid.r-max", dest="grid_r_max", type=finite,
+        sp.add_argument("--grid.r-max", dest="grid_r_max", type=_FINITE,
                         default=g.r_max, help="grid end (bohr)")
-        sp.add_argument("--grid.n-points", dest="grid_n_points", type=count,
+        sp.add_argument("--grid.n-points", dest="grid_n_points", type=_COUNT,
                         default=g.n_points, help="number of grid points")
         sp.add_argument("--grid.ecs-radius", dest="grid_ecs_radius",
-                        type=finite, default=g.ecs_radius,
+                        type=_FINITE, default=g.ecs_radius,
                         help="complex-scaling corner (bohr)")
         sp.add_argument("--grid.ecs-angle", dest="grid_ecs_angle",
-                        type=finite, default=g.ecs_angle,
+                        type=_FINITE, default=g.ecs_angle,
                         help="complex-scaling angle (rad)")
         sp.set_defaults(func=func)
         subparsers[name] = sp
@@ -511,82 +527,82 @@ def _build_parser():
 
     sp = add_command("levels", cmd_levels,
                      "field-free levels and upper-well curves")
-    sp.add_argument("--v-max", type=level, default=None,
+    sp.add_argument("--v-max", type=_LEVEL, default=None,
                     help="highest level to report (default: all)")
-    sp.add_argument("--lambda-min", type=non_negative, default=0.0,
+    sp.add_argument("--lambda-min", type=_NON_NEGATIVE, default=0.0,
                     help="curve scan start (nm); scan off when empty window")
-    sp.add_argument("--lambda-max", type=non_negative, default=0.0,
+    sp.add_argument("--lambda-max", type=_NON_NEGATIVE, default=0.0,
                     help="curve scan end (nm)")
-    sp.add_argument("--lambda-step", type=positive, default=25.0,
+    sp.add_argument("--lambda-step", type=_POSITIVE, default=25.0,
                     help="curve scan step (nm)")
-    sp.add_argument("--vplus-max", type=level, default=3,
+    sp.add_argument("--vplus-max", type=_LEVEL, default=3,
                     help="highest upper-well level in the curves")
-    sp.add_argument("--curve-intensity", type=positive,
+    sp.add_argument("--curve-intensity", type=_POSITIVE,
                     default=DIAGNOSTIC_INTENSITY,
                     help="probe intensity for the curves (W/cm^2)")
 
     sp = add_command("adiabatic", cmd_adiabatic,
                      "dressed adiabatic potentials at one field point")
-    sp.add_argument("--wavelength", type=positive, help="nm")
+    sp.add_argument("--wavelength", type=_POSITIVE, help="nm")
     # with no field the dressed adiabats cross, and no upper well exists
-    sp.add_argument("--intensity", type=positive, help="W/cm^2")
-    sp.add_argument("--vplus-max", type=level, default=8)
+    sp.add_argument("--intensity", type=_POSITIVE, help="W/cm^2")
+    sp.add_argument("--vplus-max", type=_LEVEL, default=8)
 
     sp = add_command("resonance", cmd_resonance, "single Floquet solve",
                      cache=True)
-    sp.add_argument("--wavelength", type=positive, help="nm")
-    sp.add_argument("--intensity", type=non_negative, help="W/cm^2")
-    sp.add_argument("--v", type=level, help="field-free level to continue from")
-    sp.add_argument("--steps", type=count, default=8,
+    sp.add_argument("--wavelength", type=_POSITIVE, help="nm")
+    sp.add_argument("--intensity", type=_NON_NEGATIVE, help="W/cm^2")
+    sp.add_argument("--v", type=_LEVEL, help="field-free level to continue from")
+    sp.add_argument("--steps", type=_COUNT, default=8,
                     help="intensity continuation steps")
-    sp.add_argument("--n-blocks", type=blocks, default=2)
+    sp.add_argument("--n-blocks", type=_BLOCKS, default=2)
 
     sp = add_command("ep-map", cmd_ep_map,
                      "locate and refine coalescences in a window", cache=True)
-    sp.add_argument("--jobs", type=count, default=1,
+    sp.add_argument("--jobs", type=_COUNT, default=1,
                     help="worker processes for refinements")
-    sp.add_argument("--v-max", type=level, default=16)
-    sp.add_argument("--window", type=positive, nargs=2, default=(110.0, 900.0),
+    sp.add_argument("--v-max", type=_LEVEL, default=16)
+    sp.add_argument("--window", type=_POSITIVE, nargs=2, default=(110.0, 900.0),
                     metavar=("LO", "HI"), help="wavelength window (nm)")
-    sp.add_argument("--vplus-max", type=level, default=8)
-    sp.add_argument("--i-cap", type=cap, default=0.6,
+    sp.add_argument("--vplus-max", type=_LEVEL, default=8)
+    sp.add_argument("--i-cap", type=_CAP, default=0.6,
                     help="intensity scan ceiling (10^13 W/cm^2)")
-    sp.add_argument("--n-blocks", type=blocks, default=2)
+    sp.add_argument("--n-blocks", type=_BLOCKS, default=2)
 
     sp = add_command("ep-refine", cmd_ep_refine,
                      "refine one coalescence candidate", cache=True)
-    sp.add_argument("--v", type=level)
-    sp.add_argument("--v-partner", type=level, default=None,
+    sp.add_argument("--v", type=_LEVEL)
+    sp.add_argument("--v-partner", type=_LEVEL, default=None,
                     help="default: v + 1")
-    sp.add_argument("--v-plus", type=level)
-    sp.add_argument("--lambda-guess", type=positive, help="nm")
-    sp.add_argument("--i-cap", type=cap, default=0.6)
-    sp.add_argument("--n-blocks", type=blocks, default=2)
+    sp.add_argument("--v-plus", type=_LEVEL)
+    sp.add_argument("--lambda-guess", type=_POSITIVE, help="nm")
+    sp.add_argument("--i-cap", type=_CAP, default=0.6)
+    sp.add_argument("--n-blocks", type=_BLOCKS, default=2)
 
     sp = add_command("loop", cmd_loop,
                      "transport a resonance around a parameter-plane loop")
-    sp.add_argument("--lambda0", type=positive, help="nm")
-    sp.add_argument("--d-lambda", type=finite,
+    sp.add_argument("--lambda0", type=_POSITIVE, help="nm")
+    sp.add_argument("--d-lambda", type=_FINITE,
                     help="wavelength radius (nm); sign sets handedness")
-    sp.add_argument("--i-max", type=positive, help="peak intensity "
+    sp.add_argument("--i-max", type=_POSITIVE, help="peak intensity "
                     "(10^13 W/cm^2)")
-    sp.add_argument("--t-f", type=positive, default=30.0,
+    sp.add_argument("--t-f", type=_POSITIVE, default=30.0,
                     help="pulse duration (fs)")
-    sp.add_argument("--n-steps", type=count, default=200)
-    sp.add_argument("--v-start", type=level)
+    sp.add_argument("--n-steps", type=_COUNT, default=200)
+    sp.add_argument("--v-start", type=_LEVEL)
     sp.add_argument("--reverse", action="store_true",
                     help="traverse the contour backwards")
-    sp.add_argument("--n-blocks", type=blocks, default=2)
+    sp.add_argument("--n-blocks", type=_BLOCKS, default=2)
     sp.add_argument("--ep-csv",
                     help="coalescence CSV to mark on the contour plot")
 
     sp = add_command("scenario", cmd_scenario,
                      "chain loops from a config file")
-    sp.add_argument("--t-f", type=positive, default=30.0,
+    sp.add_argument("--t-f", type=_POSITIVE, default=30.0,
                     help="default pulse duration (fs) for loop sections")
-    sp.add_argument("--n-steps", type=count, default=200,
+    sp.add_argument("--n-steps", type=_COUNT, default=200,
                     help="default angle steps for loop sections")
-    sp.add_argument("--n-blocks", type=blocks, default=2)
+    sp.add_argument("--n-blocks", type=_BLOCKS, default=2)
 
     return parser, subparsers
 

@@ -108,14 +108,14 @@ def approximate_eps(model: MoleculeModel, v_range, vplus_range,
                     grid: RadialGrid | None = None) -> list[EPCandidate]:
     """Coarse EP wavelengths from crossings of the two level families.
 
-    The field-free levels are ``field_free_levels`` on ``grid`` (default
-    RadialGrid()), the set every pair walk starts from.  The upper-well
-    levels are computed once per wavelength of a table at
-    DIAGNOSTIC_INTENSITY, _SCAN_STEP nm apart; every sign change of
-    E_v - E_{v+}(lambda) in the table is located on a cubic spline through
-    the table points around it, with no further level solves.  Wavelengths
-    whose crossing falls inside the equilibrium distance are excluded.  Pairs
-    without a crossing are skipped silently.
+    Both level families are solved on ``grid`` (default RadialGrid()).  The
+    field-free levels are ``field_free_levels``, the set every pair walk
+    starts from.  The upper-well levels are computed once per wavelength of
+    a table at DIAGNOSTIC_INTENSITY, _SCAN_STEP nm apart; every sign change
+    of E_v - E_{v+}(lambda) in the table is located on a cubic spline
+    through the table points around it, with no further level solves.
+    Wavelengths whose crossing falls inside the equilibrium distance are
+    excluded.  Pairs without a crossing are skipped silently.
     """
     v_range = list(v_range)
     vplus_range = list(vplus_range)
@@ -127,13 +127,14 @@ def approximate_eps(model: MoleculeModel, v_range, vplus_range,
     if hi <= lo:
         return []
 
-    levels = field_free_levels(model, grid if grid is not None else RadialGrid())
+    grid = grid if grid is not None else RadialGrid()
+    levels = field_free_levels(model, grid)
     n_bound = len(levels)
     vmax_plus = max(vplus_range)
 
     def well_levels(lam):
         ls = adiabatic_levels(model, FieldPoint(lam, DIAGNOSTIC_INTENSITY),
-                              vmax_plus)
+                              vmax_plus, grid)
         return {l.v: l.energy for l in ls}
 
     # clipped to hi, the last two points can coincide (np.vander of the

@@ -67,6 +67,8 @@ class LoopSpec:
             raise ModelError(f"|d_lambda| must be below lambda0, so the contour keeps "
                              f"a positive wavelength, got d_lambda={self.d_lambda}, "
                              f"lambda0={self.lambda0}")
+        if not self.lambda0 < math.inf:
+            raise ModelError(f"lambda0 must be finite, got {self.lambda0}")
         if self.n_steps < 100:
             raise ModelError(f"n_steps must be >= 100, got {self.n_steps}")
 

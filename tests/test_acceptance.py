@@ -73,7 +73,8 @@ def reverse_single_loop(h2plus, cluster_records):
 def test_ground_curve_supports_seventeen_levels(h2plus):
     """The attractive curve binds at least v = 0..16, the whole ladder the
     exchange studies rely on."""
-    levels = vibrational_levels(h2plus.vg_curve, h2plus.reduced_mass)
+    levels = vibrational_levels(h2plus.vg_curve, h2plus.reduced_mass,
+                                r_min=0.3, r_max=30.0, n_points=12001)
     assert len(levels) >= 17
     assert [lv.v for lv in levels[:17]] == list(range(17))
     assert all(lv.energy < 0.0 for lv in levels)

@@ -16,25 +16,27 @@ def h2plus():
     return load_molecule("h2plus")
 
 
+# the bundled curve's table span
+TABLE = {"r_min": 0.3, "r_max": 30.0}
+
+
 @pytest.fixture(scope="module")
 def h2plus_levels(h2plus):
-    return vibrational_levels(h2plus.vg_curve, h2plus.reduced_mass)
+    return vibrational_levels(h2plus.vg_curve, h2plus.reduced_mass, **TABLE,
+                              n_points=12001)
 
 
 class TestHarmonicOracle:
     def test_matches_closed_form(self):
         k, mass, re = 100.0, 100.0, 5.0
         pot = lambda r: 0.5 * k * (np.asarray(r) - re) ** 2
-        levels = vibrational_levels(pot, mass, 8, r_min=3.0, r_max=7.0, n_points=6001)
+        wall = pot(3.0)     # the box walls, as the levels' reference
+        levels = vibrational_levels(pot, mass, 8, r_min=3.0, r_max=7.0, n_points=6001,
+                                    asymptote=wall)
         w = np.sqrt(k / mass)
         assert len(levels) == 9
         for lvl in levels:
-            assert lvl.energy == pytest.approx(w * (lvl.v + 0.5), rel=1e-8)
-
-    def test_requires_vmax_without_asymptote(self):
-        pot = lambda r: 0.5 * (np.asarray(r) - 5.0) ** 2
-        with pytest.raises(ModelError, match="v_max is required"):
-            vibrational_levels(pot, 1.0, r_min=3.0, r_max=7.0)
+            assert lvl.energy + wall == pytest.approx(w * (lvl.v + 0.5), rel=1e-8)
 
 
 class TestMorseOracle:
@@ -84,7 +86,8 @@ class TestBundledCurve:
         assert -h2plus_levels[0].energy * 27.2114 == pytest.approx(2.650, abs=0.002)
 
     def test_grid_doubling_invariance(self, h2plus, h2plus_levels):
-        doubled = vibrational_levels(h2plus.vg_curve, h2plus.reduced_mass, n_points=24001)
+        doubled = vibrational_levels(h2plus.vg_curve, h2plus.reduced_mass, **TABLE,
+                                     n_points=24001)
         for a, b in zip(h2plus_levels, doubled):
             assert b.energy == pytest.approx(a.energy, abs=1e-10)
 
@@ -96,17 +99,17 @@ class TestErrors:
     def test_no_minimum(self):
         crv = exp_repulsive(2.0, 0.9)
         with pytest.raises(ModelError, match="no minimum"):
-            vibrational_levels(crv, 918.0, 3, r_min=0.5, r_max=10.0)
+            vibrational_levels(crv, 918.0, 3, r_min=0.5, r_max=10.0, n_points=12001)
 
     def test_bad_mass(self):
         crv = morse_curve(0.1, 0.7, 2.0)
         with pytest.raises(ModelError, match="mass"):
-            vibrational_levels(crv, -1.0, 3)
+            vibrational_levels(crv, -1.0, 3, **TABLE, n_points=12001)
 
     def test_bad_vmax(self):
         crv = morse_curve(0.1, 0.7, 2.0)
         with pytest.raises(ModelError, match="v_max"):
-            vibrational_levels(crv, 918.0, -2)
+            vibrational_levels(crv, 918.0, -2, **TABLE, n_points=12001)
 
 
 class TestAdiabaticLevels:

@@ -126,6 +126,43 @@ class TestAdiabaticCommand:
         assert "upper-well levels at 600 nm" in capsys.readouterr().out
 
 
+class TestRunGrid:
+    GRID = ["--grid.r-max", "24", "--grid.n-points", "2001"]
+
+    @pytest.mark.parametrize("argv", [
+        ["levels", "--lambda-min", "500", "--lambda-max", "600",
+         "--lambda-step", "50", "--vplus-max", "1"],
+        ["adiabatic", "--wavelength", "600", "--intensity", "1e12"],
+        ["ep-map", "--window", "600", "612", "--v-max", "13", "--vplus-max", "3"]],
+        ids=lambda argv: argv[0])
+    def test_every_level_solve_uses_the_run_grid(self, tmp_path, monkeypatch, argv):
+        domains = []
+        solve = bound_states.vibrational_levels
+
+        def spied(potential, mass, v_max=None, **kwargs):
+            domains.append((kwargs["r_min"], kwargs["r_max"], kwargs["n_points"]))
+            return solve(potential, mass, v_max, **kwargs)
+
+        # every binding, so that a module importing it by name counts too
+        for mod in (bound_states, ep, cli):
+            if hasattr(mod, "vibrational_levels"):
+                monkeypatch.setattr(mod, "vibrational_levels", spied)
+        bound_states.field_free_levels.cache_clear()
+        assert main([*argv, *self.GRID, "--out", str(tmp_path)]) == 0
+        assert domains and set(domains) == {(RadialGrid().r_min, 24.0, 2001)}
+
+    def test_adiabatic_writes_the_levels_of_its_grid(self, tmp_path):
+        assert main(["adiabatic", "--wavelength", "600", "--intensity", "1e12",
+                     "--grid.n-points", "6001", "--out", str(tmp_path)]) == 0
+        want = bound_states.adiabatic_levels(
+            load_molecule("h2plus"), FieldPoint(600.0, 1e12), 8, RadialGrid(n_points=6001))
+        rows = read_csv(tmp_path / "adiabatic_levels.csv")
+        assert [(int(r["v_plus"]), r["energy_hartree"]) for r in rows] == [
+            (lv.v, f"{lv.energy:.12g}") for lv in want]
+        curves = read_csv(tmp_path / "adiabatic_curves.csv")
+        assert (float(curves[0]["r_bohr"]), float(curves[-1]["r_bohr"])) == (0.5, 25.0)
+
+
 class TestConfigPrecedence:
     def test_config_sets_defaults_and_flags_win(self, tmp_path, capsys):
         out_a = tmp_path / "a"
@@ -547,6 +584,33 @@ class TestScenarioCommand:
                      "--config", str(cfg)]) == 2
         assert "'lambda0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("loop1.tf = 45", "loop1 section: unknown key 'tf'"),
+        ("loop1.n_steps = 400", "loop1 section: unknown key 'n_steps'"),
+        ("loop1.lambda0 = inf", "for key 'lambda0': must be a finite number > 0, got inf"),
+        ("loop1.n-steps = 1e3", "for key 'n-steps': must be an integer > 0, got 1e3"),
+        ("loop2.v-to = -1", "for key 'v-to': must be an integer >= 0, got -1")])
+    def test_section_key_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                  line, message):
+        cfg = scenario_config(tmp_path)
+        key = line.split(" =")[0]
+        text = "".join(ln for ln in cfg.read_text().splitlines(keepends=True)
+                       if not ln.startswith(key + " "))
+        cfg.write_text(text + line + "\n")
+        monkeypatch.setattr(cli, "run_scenario", None)      # no solve may start
+        out = tmp_path / "out"
+        assert main(["scenario", "--out", str(out), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert os.listdir(out) == []
+
+    def test_section_keys_take_the_loop_flag_domains(self):
+        # the very converters of the loop flags, so each domain is declared once
+        _, subparsers = cli._build_parser()
+        flag = {a.option_strings[-1][2:]: a.type for a in subparsers["loop"]._actions}
+        flag["v-from"] = flag["v-to"] = flag["v-start"]
+        assert all(conv is flag[key] for key, conv in cli._LOOP_SECTION.items())
+
     def test_loop_sections_rejected_elsewhere(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("loop1.lambda0 = 500\n")
@@ -758,13 +822,14 @@ class TestFlagDomains:
         for value in ("nan", "inf", "-inf") + (("-1",) if is_int else ())])
     def test_value_outside_the_domain_refused_at_parse_time(
             self, tmp_path, capsys, command, flag, value):
-        # --window takes the value as LO, with HI 700; argparse reads a
-        # separate "-inf" token as an option, so that case fails on the count
+        # the value as its own token and joined by "="; --window takes it
+        # as LO, with HI 700
         out = tmp_path / "out"
         hi = " 700" if flag == "--window" else ""
-        argv = [flag, value, "700"] if hi else [f"{flag}={value}"]
-        assert main([command, *argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
+        forms = [[flag, value, "700"]] if hi else [[flag, value], [f"{flag}={value}"]]
+        for argv in forms:
+            assert main([command, *argv, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: argument {flag}: must be ")
 
         key = flag[2:]
         cfg = tmp_path / "run.cfg"
@@ -777,6 +842,8 @@ class TestFlagDomains:
     @pytest.mark.parametrize("argv, dest, value", [
         (["loop", "--d-lambda=-5"], "d_lambda", -5.0),
         (["loop", "--d-lambda", "0"], "d_lambda", 0.0),
+        (["loop", "--d-lambda", "-1e-3"], "d_lambda", -1e-3),
+        (["levels", "--grid.r-min", "-1e-1"], "grid_r_min", -0.1),
         (["levels", "--lambda-min", "0"], "lambda_min", 0.0),
         (["resonance", "--intensity", "0"], "intensity", 0.0),
         (["resonance", "--v", "0"], "v", 0),

@@ -73,6 +73,11 @@ class TestLoopSpec:
         with pytest.raises(ModelError, match=r"\|d_lambda\| must be below lambda0"):
             LoopSpec(lambda0=lambda0, d_lambda=d_lambda, i_max=0.2, t_f=30.0)
 
+    def test_rejects_infinite_lambda0(self):
+        # every finite |d_lambda| is below it, so the contour check lets it by
+        with pytest.raises(ModelError, match="lambda0 must be finite"):
+            LoopSpec(lambda0=math.inf, d_lambda=5.0, i_max=0.2, t_f=30.0)
+
     @pytest.mark.parametrize("d_lambda", [0.0, -5.0, -599.0])
     def test_zero_and_negative_radius_stay_legal(self, d_lambda):
         assert LoopSpec(lambda0=600.0, d_lambda=d_lambda, i_max=0.2,
