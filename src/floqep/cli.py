@@ -339,7 +339,9 @@ def cmd_ep_map(args, model, grid):
         if rec is None:
             todo.append((key, cand))
         else:
-            records.append(EPRecord.from_dict(rec))
+            # the key holds --n-blocks, which records cached before they
+            # stated it lack
+            records.append(EPRecord.from_dict({"n_blocks": args.n_blocks, **rec}))
     n_hits = len(records)
 
     # workers only compute; cache and file writes stay in this process, and
@@ -394,6 +396,11 @@ def cmd_loop(args, model, grid):
                     i_max=args.i_max, t_f=args.t_f, n_steps=args.n_steps)
     # EP records give intensity in 10^13 W/cm^2, like the samples and --i-max
     eps = records_from_csv(args.ep_csv) if args.ep_csv else []
+    for r in eps:
+        if r.n_blocks not in (None, args.n_blocks):
+            print(f"warning: {args.ep_csv}: EP ({r.pair[0]},{r.pair[1]}) at "
+                  f"{r.lambda_ep:.3f} nm was refined with {r.n_blocks} photon "
+                  f"blocks, this loop uses {args.n_blocks}", file=sys.stderr)
     partial = False
     try:
         traj = follow_resonance(model, spec, args.v_start, grid,
@@ -594,7 +601,8 @@ def _build_parser():
                     help="traverse the contour backwards")
     sp.add_argument("--n-blocks", type=_BLOCKS, default=2)
     sp.add_argument("--ep-csv",
-                    help="coalescence CSV to mark on the contour plot")
+                    help="coalescence CSV to mark on the contour plot; a "
+                    "record refined at another --n-blocks is warned about")
 
     sp = add_command("scenario", cmd_scenario,
                      "chain loops from a config file")

@@ -58,9 +58,10 @@ class EPRecord:
     """A refined coalescence of two resonances.
 
     intensity_ep is stored in units of 10^13 W/cm^2; e_ep is the common
-    complex energy of the merged pair in hartree.  to_dict / from_dict give
-    the one serialized form: the records of ep_map.json, of the solve cache
-    and, flattened, of the CSV columns.
+    complex energy of the merged pair in hartree; n_blocks is the photon-block
+    count of the model that refined it (None in files written without it).
+    to_dict / from_dict give the one serialized form: the records of
+    ep_map.json, of the solve cache and, flattened, of the CSV columns.
     """
 
     pair: tuple[int, int]
@@ -69,6 +70,7 @@ class EPRecord:
     gap_residual: float
     e_ep: complex
     v_plus: int | None = None
+    n_blocks: int | None = None
 
     def __post_init__(self):
         if self.intensity_ep <= 0.0:
@@ -79,7 +81,7 @@ class EPRecord:
                 "intensity_1e13Wcm2": self.intensity_ep,
                 "gap_residual": self.gap_residual,
                 "e_ep": [self.e_ep.real, self.e_ep.imag],
-                "v_plus": self.v_plus}
+                "v_plus": self.v_plus, "n_blocks": self.n_blocks}
 
     @classmethod
     def from_dict(cls, d: dict) -> EPRecord:
@@ -87,7 +89,7 @@ class EPRecord:
                    intensity_ep=d["intensity_1e13Wcm2"],
                    gap_residual=d["gap_residual"],
                    e_ep=complex(d["e_ep"][0], d["e_ep"][1]),
-                   v_plus=d.get("v_plus"))
+                   v_plus=d.get("v_plus"), n_blocks=d.get("n_blocks"))
 
 
 def cplus_minimum_wavelength(model: MoleculeModel) -> float:
@@ -181,7 +183,8 @@ def _walk_pair(model, pair, lam, intensities, grid, n_blocks):
     Starts from the pair's field-free energies at I = 0 and yields the pair,
     a length-2 array, at each of ``intensities`` in turn, on the
     step-halving driver ``continuation``.  Each step is seeded by
-    ``extrapolate`` on the walk so far.  A step fails when a solve fails,
+    ``extrapolate`` on the walk so far, and each root's secant by the same
+    extrapolation of its secant slopes.  A step fails when a solve fails,
     the two roots cannot be assigned unambiguously, or a root moves farther
     than _MAX_JUMP.
     """
@@ -192,20 +195,25 @@ def _walk_pair(model, pair, lam, intensities, grid, n_blocks):
         raise ModelError(f"pair ({v}, {w}) is not two distinct levels of the "
                          f"{len(levels)} bound levels 0..{len(levels) - 1}")
 
+    slopes = []               # (I, the pair's secant slopes) of accepted steps
+
     def step(points, inten):
         guess = extrapolate(points, inten)
+        slope = extrapolate(slopes, inten) if slopes else (None, None)
         system = build_system(model, FieldPoint(lam, inten * INTENSITY_UNIT),
                               grid, n_blocks=n_blocks)
-        r1 = find_resonance(system, guess[0])
-        r2 = find_resonance(system, guess[1], deflate=(r1.energy,))
+        r1 = find_resonance(system, guess[0], slope=slope[0])
+        r2 = find_resonance(system, guess[1], deflate=(r1.energy,), slope=slope[1])
         found = np.array([r1.energy, r2.energy])
+        found_slope = np.array([r1.slope, r2.slope])
         # assign found roots to predicted branches by summed distance
         if np.abs(found[::-1] - guess).sum() < np.abs(found - guess).sum():
-            found = found[::-1]
+            found, found_slope = found[::-1], found_slope[::-1]
         if abs(found[0] - found[1]) < 1e-13:
             raise ConvergenceError("resonances lost identity during continuation")
         if np.abs(found - points[-1][1]).max() > _MAX_JUMP:
             raise ConvergenceError("branch moved too far in one step")
+        slopes.append((inten, found_slope))
         return found
 
     start = np.array([levels[v].energy, levels[w].energy], dtype=complex)
@@ -273,17 +281,20 @@ def refine_ep(model: MoleculeModel, candidate: EPCandidate,
 
     The candidate's pair is continued from zero field up the intensity scan
     at the seed wavelength; the sample with the smallest gap seeds the
-    double-root Newton of find_double_root on the matching determinant.
+    double-root Newton of find_double_root on the matching determinant.  A
+    failed Newton's message gets where that gap bottomed out: at the first
+    sample ("no approach up to i-cap"), at the last ("gap still closing at
+    i-cap") or in between ("interior minimum at sample k"), with the gap.
     """
     lam0 = candidate.lambda_guess
     intensities = i_cap / 30 * np.arange(1, 31)
     walk = _walk_pair(model, (candidate.v, candidate.v_partner), lam0,
                       intensities, grid, n_blocks)
-    i0, pair, best_g = None, None, math.inf
+    i0, pair, best_g, best_k = None, None, math.inf, 0
     for k, (i, walked) in enumerate(zip(intensities, walk), start=1):
         g = abs(walked[0] - walked[1])
         if g < best_g:
-            i0, pair, best_g = i, walked, g
+            i0, pair, best_g, best_k = i, walked, g, k
         elif g > 3.0 * best_g and k >= 3:
             break
     if pair is None:
@@ -294,11 +305,17 @@ def refine_ep(model: MoleculeModel, candidate: EPCandidate,
         return build_system(model, FieldPoint(lam, inten * INTENSITY_UNIT),
                             grid, n_blocks=n_blocks).determinant
 
-    lam, inten, e_ep, gap = find_double_root(
-        det_at, 0.5 * (e1 + e2), lam0, i0, 0.5 * abs(e1 - e2))
+    try:
+        lam, inten, e_ep, gap = find_double_root(
+            det_at, 0.5 * (e1 + e2), lam0, i0, 0.5 * abs(e1 - e2))
+    except ConvergenceError as ex:
+        where = ("no approach up to i-cap" if best_k == 1
+                 else "gap still closing at i-cap" if best_k == len(intensities)
+                 else f"interior minimum at sample {best_k}")
+        raise ConvergenceError(f"{ex}; {where} (gap {best_g:.3e})") from ex
     return EPRecord(pair=(candidate.v, candidate.v_partner),
                     lambda_ep=lam, intensity_ep=inten, gap_residual=gap,
-                    e_ep=e_ep, v_plus=candidate.v_plus)
+                    e_ep=e_ep, v_plus=candidate.v_plus, n_blocks=n_blocks)
 
 
 def cluster_bands(records) -> list[list[EPRecord]]:
@@ -313,25 +330,28 @@ def cluster_bands(records) -> list[list[EPRecord]]:
 
 
 _CSV_FLOATS = ("lambda_nm", "intensity_1e13Wcm2", "gap_residual")
+_CSV_INTS = ("v_plus", "n_blocks")   # written empty for None
 
 
 def records_to_csv(records, path):
     """One row per record: the to_dict fields, with pair as "v-w", e_ep
-    split into e_ep_re / e_ep_im and an empty v_plus for None."""
+    split into e_ep_re / e_ep_im and an empty v_plus or n_blocks for None."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["pair", *_CSV_FLOATS, "e_ep_re", "e_ep_im", "v_plus"])
+        w.writerow(["pair", *_CSV_FLOATS, "e_ep_re", "e_ep_im", *_CSV_INTS])
         for r in records:
             d = r.to_dict()
             floats = [d[k] for k in _CSV_FLOATS] + d["e_ep"]
             w.writerow(["{}-{}".format(*d["pair"])]
                        + [f"{x:.12g}" for x in floats]
-                       + ["" if d["v_plus"] is None else d["v_plus"]])
+                       + ["" if d[k] is None else d[k] for k in _CSV_INTS])
 
 
 def records_from_csv(path):
     """Records from records_to_csv.  A missing column or a value that does
-    not parse raises a ModelError that names the file and the column."""
+    not parse raises a ModelError that names the file and the column.  A
+    file written before records stated n_blocks has no such column, and its
+    records get None."""
     def pair(text):
         v, w = text.split("-")
         return [int(v), int(w)]
@@ -343,7 +363,8 @@ def records_from_csv(path):
             d["pair"] = key_value(row, "pair", pair, path)
             d["e_ep"] = [key_value(row, k, float, path)
                          for k in ("e_ep_re", "e_ep_im")]
-            d["v_plus"] = key_value(row, "v_plus",
-                                    lambda t: int(t) if t else None, path)
+            row.setdefault("n_blocks", "")
+            for k in _CSV_INTS:
+                d[k] = key_value(row, k, lambda t: int(t) if t else None, path)
             out.append(EPRecord.from_dict(d))
     return out

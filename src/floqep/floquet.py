@@ -27,10 +27,10 @@ factors.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,11 +63,15 @@ _MAX_SPLITS = 14       # step halvings allowed on the way to one continuation ta
 _TEMPLATES = 1
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Resonance:
     """One complex quasienergy E = E_R - i Gamma/2."""
 
     energy: complex
+    # the solve's last secant slope dD/dE, of the deflated function for a
+    # deflated root; None where no secant produced the energy
+    slope: complex | None = dataclasses.field(default=None,
+                                              compare=False)
 
     def __post_init__(self):
         if self.energy.imag > _IM_TOL:
@@ -374,17 +378,29 @@ def build_system(model: MoleculeModel, field: FieldPoint, grid: RadialGrid | Non
     return CoupledSystem(model, field, grid, n_blocks, matching_index)
 
 
+def _capped(step: complex) -> complex:
+    """``step`` shortened to at most _MAX_STEP."""
+    size = abs(step)
+    return step * (_MAX_STEP / size) if size > _MAX_STEP else step
+
+
 def find_resonance(system: CoupledSystem, e_guess: complex, *,
-                   deflate: tuple = ()) -> Resonance:
+                   deflate: tuple = (), slope: complex | None = None) -> Resonance:
     """Secant iteration in the complex plane from e_guess to one quasienergy.
 
     ``deflate`` divides out already-known roots so a nearby second root can be
-    resolved (needed close to a coalescence).  The iteration stops once a
-    step falls below 1e-12, or once a step below 1e-8 fails to halve the one
-    before it: the secant converges superlinearly there, so each step is far
-    below half the previous one, and a step that does not halve is the
-    rounding noise of the determinant, not progress.  Both rules read the
-    step just computed, so the returned iterate is never evaluated.
+    resolved (needed close to a coalescence).  The second point of the
+    secant is e_guess + 1e-9, or, given a predicted ``slope`` dD/dE of the
+    solved function, the Newton step -D(e_guess) / slope (capped like every
+    step); a slope that gives no finite, nonzero step is ignored.  The
+    iteration stops once a step falls below 1e-12, or once a step below
+    1e-8 fails to halve the one before it: the secant converges
+    superlinearly there, so each step is far below half the previous one,
+    and a step that does not halve is the rounding noise of the
+    determinant, not progress.  Both rules read the step just computed, so
+    the returned iterate is never evaluated.  The result carries the last
+    secant slope, which a continuation can extrapolate to seed its next
+    solve.
     """
 
     def f(e: complex) -> complex:
@@ -394,8 +410,10 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *,
         return d
 
     e0 = complex(e_guess)
-    e1 = e0 + 1e-9
-    f0, f1 = f(e0), f(e1)
+    f0 = f(e0)
+    step = -f0 / complex(slope) if slope else math.nan
+    e1 = e0 + (_capped(step) if cmath.isfinite(step) and step else 1e-9)
+    f1 = f(e1)
     last = math.inf
     for _ in range(_MAX_SECANT):
         denom = f1 - f0
@@ -405,8 +423,6 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *,
             continue
         step = -f1 * (e1 - e0) / denom
         size = abs(step)
-        if size > _MAX_STEP:
-            step *= _MAX_STEP / size
         floor = 0.5 * last <= size < _FLOOR_STEP
         last = size
         if size < _DE_TOL or floor:
@@ -414,9 +430,9 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *,
             if e.imag > _IM_TOL:
                 raise ConvergenceError(
                     f"converged to the unphysical sheet (Im E = {e.imag:.3e})")
-            return Resonance(complex(e.real, min(e.imag, 0.0)))
+            return Resonance(complex(e.real, min(e.imag, 0.0)), denom / (e1 - e0))
         e0, f0 = e1, f1
-        e1 = e1 + step
+        e1 = e1 + _capped(step)
         f1 = f(e1)
     raise ConvergenceError(
         f"no quasienergy within {_MAX_SECANT} secant iterations "
@@ -446,19 +462,22 @@ def ramp_resonance(model: MoleculeModel, field: FieldPoint, e_start: complex,
 
     The intensity rises in ``steps`` equal steps, I/steps .. I, at the
     wavelength of ``field``; each solve is seeded by ``extrapolate`` on the
-    ramp so far, which starts at (I = 0, e_start).  At I = 0 the one solve
+    ramp so far, which starts at (I = 0, e_start), and from the second solve
+    on by the secant slope extrapolated from the earlier solves.  At I = 0 the one solve
     starts from e_start.  Returns the resonance found at ``field``.
     """
     if steps < 1:
         raise ModelError(f"steps must be at least 1, got {steps}")
-    points = [(0.0, complex(e_start))]
+    points, slopes = [(0.0, complex(e_start))], []
     ramp = (np.linspace(field.intensity / steps, field.intensity, steps)
             if field.intensity else [0.0])
     for inten in ramp:
         system = build_system(model, FieldPoint(field.wavelength, inten), grid,
                               n_blocks=n_blocks)
-        res = find_resonance(system, extrapolate(points, inten))
+        res = find_resonance(system, extrapolate(points, inten),
+                             slope=extrapolate(slopes, inten) if slopes else None)
         points.append((inten, res.energy))
+        slopes.append((inten, res.slope))
     return res
 
 

@@ -154,7 +154,8 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
     """Transport the resonance that starts as level v_start around the loop.
 
     Each angle step is seeded by quadratic extrapolation of the previous
-    three accepted points and runs on the step-halving driver
+    three accepted points, and its secant by the same extrapolation of
+    their secant slopes; it runs on the step-halving driver
     ``continuation``; a step fails whenever the solve misses the
     extrapolation by more than _ACCEPT_FACTOR times the previous step's
     miss (with the absolute floor _ACCEPT_FLOOR), which is what catches a
@@ -186,18 +187,22 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
                                 energy=energy)
 
     prev_miss = _ACCEPT_FLOOR
+    slopes = []               # (phi, secant slope) of the accepted solves
 
     def step(points, phi):
         nonlocal prev_miss
         guess = extrapolate(points, phi)
         system = build_system(model, loop_point(spec, phi), grid,
                               n_blocks=n_blocks)
-        energy = find_resonance(system, guess).energy
-        miss = abs(energy - guess)
+        res = find_resonance(system, guess,
+                             slope=extrapolate(slopes, phi) if slopes else None)
+        miss = abs(res.energy - guess)
         if miss > max(_ACCEPT_FACTOR * prev_miss, _ACCEPT_FLOOR):
             raise ConvergenceError("continuity threshold tripped")
         prev_miss = max(miss, 1e-9)
-        return energy
+        if res.slope is not None:
+            slopes.append((phi, res.slope))
+        return res.energy
 
     points = [(float(phis[0]), complex(levels[v_start].energy))]
     try:

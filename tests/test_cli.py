@@ -391,6 +391,37 @@ class TestEpWorkflow:
         assert "2 coalescences (1 from cache, 0 failed)" in capsys.readouterr().out
         assert calls == [cands[0], cands[1], cands[1]]
 
+    def test_records_state_their_block_count(self, tmp_path, monkeypatch):
+        # in ep_map.csv, ep_map.json and the cache; a record cached before
+        # records stated it gets the --n-blocks its cache key holds
+        cand = EPCandidate(v=12, v_partner=13, v_plus=2, lambda_guess=635.96)
+
+        def refine(model, cand, grid, n_blocks, i_cap):
+            return EPRecord(pair=(cand.v, cand.v_partner), lambda_ep=634.55,
+                            intensity_ep=0.2, gap_residual=1e-9,
+                            e_ep=complex(-0.01, -1e-4), v_plus=cand.v_plus,
+                            n_blocks=n_blocks)
+
+        monkeypatch.setattr(cli, "approximate_eps", lambda *args: [cand])
+        monkeypatch.setattr(cli, "refine_ep", refine)
+        cache = tmp_path / "cache.json"
+        argv = ["ep-map", "--n-blocks", "4", "--cache", str(cache),
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert [r["n_blocks"] for r in read_csv(tmp_path / "ep_map.csv")] == ["4"]
+        doc = json.loads((tmp_path / "ep_map.json").read_text())
+        assert [r["n_blocks"] for r in doc["results"]["records"]] == [4]
+        stored = json.loads(cache.read_text())
+        assert [r["n_blocks"] for r in stored.values()] == [4]
+
+        for rec in stored.values():
+            del rec["n_blocks"]
+        cache.write_text(json.dumps(stored))
+        assert main(argv) == 0
+        doc = json.loads((tmp_path / "ep_map.json").read_text())
+        assert doc["results"]["n_cached"] == 1
+        assert [r.n_blocks for r in records_from_csv(tmp_path / "ep_map.csv")] == [4]
+
     def test_one_field_free_solve_per_map(self, tmp_path, monkeypatch):
         # the scan reads the set the pair walks start from
         models, potentials = [], []
@@ -470,6 +501,24 @@ class TestLoopCommand:
                    if el.get("text-anchor") == "end" and el.text != "contour"]
         assert max(y_ticks) == pytest.approx(0.02)
         assert "v = 2 -> 2" in capsys.readouterr().out
+
+    def test_ep_csv_from_another_block_count_warns(self, tmp_path, capsys):
+        # one warning per record refined at another --n-blocks; a record
+        # that does not state its count gets none
+        eps = tmp_path / "eps.csv"
+        eps.write_text("pair,lambda_nm,intensity_1e13Wcm2,gap_residual,"
+                       "e_ep_re,e_ep_im,v_plus,n_blocks\n"
+                       "12-13,634.55,0.2052,3e-09,-0.0095,-0.0015,2,2\n"
+                       "12-13,636.393,0.1934,3e-09,-0.0095,-0.0015,2,4\n"
+                       "13-14,604.6,0.2250,3e-09,-0.0101,-0.0017,3,\n")
+        assert main(["loop", "--out", str(tmp_path),
+                     "--lambda0", "500", "--d-lambda", "2",
+                     "--i-max", "0.02", "--t-f", "30", "--n-steps", "100",
+                     "--v-start", "2", "--ep-csv", str(eps)]) == 0
+        warnings = [ln for ln in capsys.readouterr().err.splitlines()
+                    if ln.startswith("warning:")]
+        assert warnings == [f"warning: {eps}: EP (12,13) at 636.393 nm was "
+                            "refined with 4 photon blocks, this loop uses 2"]
 
     def test_broken_loop_writes_partial_outputs(self, tmp_path, monkeypatch,
                                                 capsys):

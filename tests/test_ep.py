@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from floqep import ep, floquet
@@ -239,6 +241,56 @@ class TestCoalescenceSearch:
             refine_ep(h2plus, cand)
 
 
+class TestFailureClass:
+    """A failed refinement's reason says where the walk's gap bottomed out;
+    the Newton runs from that minimum whatever its class."""
+
+    NEWTON = "Newton iterate left the seed pair at step 1 (half-gap 5.000e-04)"
+
+    def refine_on_gaps(self, monkeypatch, gaps):
+        # the walk yields pairs with these gaps; the Newton always fails
+        newton = []
+
+        def walk(model, pair, lam, intensities, grid, n_blocks):
+            return iter([np.array([0.0, g]) for g in gaps])
+
+        def fail(*args):
+            newton.append(args)
+            raise ConvergenceError(self.NEWTON)
+
+        monkeypatch.setattr(ep, "_walk_pair", walk)
+        monkeypatch.setattr(ep, "find_double_root", fail)
+        cand = EPCandidate(v=12, v_partner=13, v_plus=2, lambda_guess=600.0)
+        with pytest.raises(ConvergenceError) as info:
+            refine_ep(None, cand, i_cap=0.6)
+        assert len(newton) == 1
+        return str(info.value), newton[0]
+
+    def test_minimum_at_the_first_sample(self, monkeypatch):
+        reason, args = self.refine_on_gaps(monkeypatch, [1e-3, 2e-3, 4e-3])
+        assert reason == f"{self.NEWTON}; no approach up to i-cap (gap 1.000e-03)"
+        assert args[3] == pytest.approx(0.02)           # seeded at sample 1
+
+    def test_minimum_at_the_cap(self, monkeypatch):
+        gaps = [1e-3 * (31 - k) / 30 for k in range(1, 31)]
+        reason, args = self.refine_on_gaps(monkeypatch, gaps)
+        assert reason == f"{self.NEWTON}; gap still closing at i-cap (gap 3.333e-05)"
+        assert args[3] == pytest.approx(0.6)
+
+    def test_interior_minimum(self, monkeypatch):
+        gaps = [5e-3, 4e-3, 3e-3, 2e-3, 1e-3, 2e-3, 4e-3]
+        reason, args = self.refine_on_gaps(monkeypatch, gaps)
+        assert reason == f"{self.NEWTON}; interior minimum at sample 5 (gap 1.000e-03)"
+        assert args[3] == pytest.approx(0.1)
+
+    def test_failing_benchmark_candidate_is_interior(self, h2plus):
+        cand = EPCandidate(v=9, v_partner=10, v_plus=0, lambda_guess=648.515625)
+        with pytest.raises(ConvergenceError,
+                           match=r"^Newton iterate left the seed pair .*; "
+                                 r"interior minimum at sample \d+ \(gap \d\.\d{3}e-\d\d\)$"):
+            refine_ep(h2plus, cand)
+
+
 class TestRefinedRecord:
     def test_frozen_coordinates(self, ep1213):
         assert ep1213.pair == (12, 13)
@@ -261,6 +313,10 @@ class TestRefinedRecord:
         r2 = find_resonance(system, ep1213.e_ep - 1e-5, deflate=(r1.energy,))
         assert abs(r1.energy - ep1213.e_ep) < 1e-7
         assert abs(r2.energy - ep1213.e_ep) < 1e-7
+
+    def test_states_its_block_count(self, ep1213):
+        assert ep1213.n_blocks == 2
+        assert ep1213.to_dict()["n_blocks"] == 2
 
     def test_record_rejects_nonpositive_intensity(self):
         with pytest.raises(ModelError, match="positive"):
@@ -312,6 +368,27 @@ class TestSerialization:
                                    self.RECORDS[0].e_ep.imag]
         assert blob[1]["v_plus"] == 3
         assert [EPRecord.from_dict(d) for d in blob] == self.RECORDS
+
+    def test_n_blocks_round_trip(self, tmp_path):
+        records = [dataclasses.replace(r, n_blocks=nb)
+                   for r, nb in zip(self.RECORDS, (4, None))]
+        path = tmp_path / "records.csv"
+        records_to_csv(records, path)
+        assert [r.n_blocks for r in records_from_csv(path)] == [4, None]
+        blob = json.loads(json.dumps([r.to_dict() for r in records]))
+        assert [EPRecord.from_dict(d).n_blocks for d in blob] == [4, None]
+
+    def test_files_and_caches_without_n_blocks_load(self, tmp_path):
+        # the CSV layout and record dict written before n_blocks was recorded
+        path = tmp_path / "old.csv"
+        path.write_text("pair,lambda_nm,intensity_1e13Wcm2,gap_residual,"
+                        "e_ep_re,e_ep_im,v_plus\n"
+                        "12-13,634.55,0.2052,3.1e-09,-0.0095,-0.0015,2\n")
+        (rec,) = records_from_csv(path)
+        assert (rec.pair, rec.v_plus, rec.n_blocks) == ((12, 13), 2, None)
+        old = self.RECORDS[0].to_dict()
+        del old["n_blocks"]
+        assert EPRecord.from_dict(old) == self.RECORDS[0]
 
     def test_cluster_bands(self):
         recs = [EPRecord(pair=(v, v + 1), lambda_ep=lam, intensity_ep=0.2,

@@ -432,6 +432,113 @@ class TestSecantFloor:
         assert abs(r1.energy - r2.energy) > 1e-4
 
 
+class SpySystem:
+    """A system that records the energies of its determinant evaluations."""
+
+    def __init__(self, system):
+        self.system = system
+        self.seen = []
+
+    def determinant(self, e):
+        self.seen.append(e)
+        return self.system.determinant(e)
+
+
+def probe_secant_energies(system, e0):
+    """The energies the secant evaluates from the probe start e0, e0 + 1e-9:
+    its rules written out once more, step cap and nudge included."""
+    seen = []
+
+    def f(e):
+        seen.append(e)
+        return system.determinant(e)
+
+    e1 = e0 + 1e-9
+    f0, f1 = f(e0), f(e1)
+    last = float("inf")
+    for _ in range(50):
+        if f1 == f0 or not (cmath.isfinite(f0) and cmath.isfinite(f1)):
+            e1 += 1e-9 * (1 + abs(e1)) * (1 + 1j)
+            f1 = f(e1)
+            continue
+        step = -f1 * (e1 - e0) / (f1 - f0)
+        size = abs(step)
+        if size > 2e-3:
+            step *= 2e-3 / size
+        if size < 1e-12 or 0.5 * last <= size < 1e-8:
+            return seen
+        last = size
+        e0, f0, e1 = e1, f1, e1 + step
+        f1 = f(e1)
+    raise AssertionError("reference secant did not converge")
+
+
+class TestSlopeSeed:
+    """find_resonance(..., slope=dD/dE) replaces the 1e-9 probe by a capped
+    Newton step, and reports the secant's last slope."""
+
+    @pytest.fixture(scope="class")
+    def systems(self, h2plus, grid):
+        return [build_system(h2plus, FieldPoint(788.2, inten), grid)
+                for inten in (1e10, 1.2e10)]
+
+    @pytest.fixture(scope="class")
+    def first(self, systems, free_levels):
+        return find_resonance(systems[0], free_levels[12].energy)
+
+    def test_without_a_slope_the_probe_starts(self, systems, first):
+        spy = SpySystem(systems[1])
+        find_resonance(spy, first.energy)
+        assert spy.seen[:2] == [first.energy, first.energy + 1e-9]
+        assert spy.seen == probe_secant_energies(systems[1], first.energy)
+        again = SpySystem(systems[1])
+        find_resonance(again, first.energy, slope=None)
+        assert again.seen == spy.seen
+
+    def test_good_slope_saves_a_determinant(self, systems, first):
+        probe, seeded = SpySystem(systems[1]), SpySystem(systems[1])
+        ref = find_resonance(probe, first.energy)
+        res = find_resonance(seeded, first.energy, slope=first.slope)
+        assert abs(res.energy - ref.energy) < 1e-13
+        assert len(seeded.seen) < len(probe.seen)
+        assert seeded.seen[1] == pytest.approx(
+            first.energy - systems[1].determinant(first.energy) / first.slope,
+            abs=1e-18)
+
+    @pytest.mark.parametrize("slope", [0, 0j, np.nan, np.inf, complex(np.nan, 1.0)])
+    def test_useless_slope_is_ignored(self, systems, first, slope):
+        probe, seeded = SpySystem(systems[1]), SpySystem(systems[1])
+        ref = find_resonance(probe, first.energy)
+        res = find_resonance(seeded, first.energy, slope=slope)
+        assert seeded.seen == probe.seen
+        assert res.energy == ref.energy
+
+    @pytest.mark.parametrize("factor", [1e-3, 1e-9, -1.0, 1e6])
+    def test_wrong_slope_still_converges(self, systems, first, factor):
+        ref = find_resonance(systems[1], first.energy)
+        seeded = SpySystem(systems[1])
+        res = find_resonance(seeded, first.energy, slope=factor * first.slope)
+        assert abs(res.energy - ref.energy) < 1e-13
+        # the first step is capped like every secant step
+        assert abs(seeded.seen[1] - seeded.seen[0]) <= 2e-3 * (1 + 1e-12)
+
+    def test_reported_slope_is_the_solved_functions(self, systems, free_levels):
+        system, h = systems[0], 1e-6
+        r1 = find_resonance(system, free_levels[12].energy)
+        r2 = find_resonance(system, free_levels[13].energy, deflate=(r1.energy,))
+
+        def derivative(f, e):
+            return (f(e + h) - f(e - h)) / (2 * h)
+
+        assert r1.slope == pytest.approx(derivative(system.determinant, r1.energy),
+                                         rel=1e-4)
+        assert r2.slope == pytest.approx(
+            derivative(lambda e: system.determinant(e) / (e - r1.energy), r2.energy),
+            rel=1e-4)
+        # the slope is metadata: a result equals one without it
+        assert r1 == Resonance(r1.energy)
+
+
 class TestClassification:
     def test_characters_across_the_crossing(self, h2plus, grid, free_levels):
         # at 700 nm the crossing sits between the v = 12 and v = 13 outer

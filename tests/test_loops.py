@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from floqep import bound_states, cli, ep, loops
+from floqep import bound_states, cli, ep, floquet, loops
 from floqep.errors import ContinuationError, ConvergenceError, ModelError
 from floqep.floquet import Resonance
 from floqep.loops import (
@@ -206,6 +206,22 @@ class TestFollowWeakLoop:
     def test_vstart_out_of_range(self, h2plus):
         with pytest.raises(ModelError, match="v_start"):
             follow_resonance(h2plus, self.SPEC, 99)
+
+    def test_determinant_budget(self, h2plus, traj, monkeypatch):
+        # 100 steps and 3 classification solves; each step's secant starts
+        # from the slope extrapolated along the loop, not from a 1e-9 probe.
+        # Measured 214; the probe start took 313
+        calls = [0]
+        det = floquet.CoupledSystem.determinant
+
+        def counted(self, e):
+            calls[0] += 1
+            return det(self, e)
+
+        monkeypatch.setattr(floquet.CoupledSystem, "determinant", counted)
+        again = follow_resonance(h2plus, self.SPEC, 2)
+        assert calls[0] <= 214
+        assert again.v_end == traj.v_end
 
 
 def fail_solves(monkeypatch, fails):
