@@ -65,7 +65,10 @@ def _split_loop_sections(pairs):
 
 def _coerce(action, raw):
     if action.const is True:
-        return raw.lower() in ("1", "true", "yes", "on")
+        word = raw.lower()
+        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ValueError("want 1, true, yes or on, or 0, false, no or off")
+        return word in ("1", "true", "yes", "on")
     if action.nargs == 2:
         toks = raw.split()
         if len(toks) != 2:

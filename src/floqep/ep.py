@@ -26,7 +26,7 @@ import numpy as np
 
 from .bound_states import adiabatic_levels, field_free_levels
 from .errors import ConvergenceError, ModelError
-from .floquet import build_system, continuation, extrapolate, find_resonance
+from .floquet import build_system, intensity_walk
 from .molecule import FieldPoint, MoleculeModel, RadialGrid, key_value
 from .units import INTENSITY_UNIT
 
@@ -37,7 +37,6 @@ DIAGNOSTIC_INTENSITY = 1.0e3
 _GAP_TOL = 1e-8
 _NEWTON_ITERS = 25
 _E_STEP = 1e-5         # hartree, stencil of D' and D''
-_MAX_JUMP = 5e-4       # hartree, largest move of either root in one walk step
 _D_LAMBDA = 1e-3       # nm, forward-difference step of the Newton Jacobian
 _D_INTENSITY = 1e-5    # 10^13 W/cm^2, likewise
 _SCAN_STEP = 4.0       # nm, wavelength spacing of the candidate level table
@@ -178,46 +177,16 @@ def approximate_eps(model: MoleculeModel, v_range, vplus_range,
 
 
 def _walk_pair(model, pair, lam, intensities, grid, n_blocks):
-    """Continue two labelled resonances up an intensity scan at fixed lam.
-
-    Starts from the pair's field-free energies at I = 0 and yields the pair,
-    a length-2 array, at each of ``intensities`` in turn, on the
-    step-halving driver ``continuation``.  Each step is seeded by
-    ``extrapolate`` on the walk so far, and each root's secant by the same
-    extrapolation of its secant slopes.  A step fails when a solve fails,
-    the two roots cannot be assigned unambiguously, or a root moves farther
-    than _MAX_JUMP.
-    """
+    """``intensity_walk`` of two labelled resonances from their field-free
+    energies, up ``intensities`` in 10^13 W/cm^2 at fixed lam."""
     v, w = pair
     grid = grid if grid is not None else RadialGrid()
     levels = field_free_levels(model, grid)
     if not (0 <= v < len(levels) and 0 <= w < len(levels) and v != w):
         raise ModelError(f"pair ({v}, {w}) is not two distinct levels of the "
                          f"{len(levels)} bound levels 0..{len(levels) - 1}")
-
-    slopes = []               # (I, the pair's secant slopes) of accepted steps
-
-    def step(points, inten):
-        guess = extrapolate(points, inten)
-        slope = extrapolate(slopes, inten) if slopes else (None, None)
-        system = build_system(model, FieldPoint(lam, inten * INTENSITY_UNIT),
-                              grid, n_blocks=n_blocks)
-        r1 = find_resonance(system, guess[0], slope=slope[0])
-        r2 = find_resonance(system, guess[1], deflate=(r1.energy,), slope=slope[1])
-        found = np.array([r1.energy, r2.energy])
-        found_slope = np.array([r1.slope, r2.slope])
-        # assign found roots to predicted branches by summed distance
-        if np.abs(found[::-1] - guess).sum() < np.abs(found - guess).sum():
-            found, found_slope = found[::-1], found_slope[::-1]
-        if abs(found[0] - found[1]) < 1e-13:
-            raise ConvergenceError("resonances lost identity during continuation")
-        if np.abs(found - points[-1][1]).max() > _MAX_JUMP:
-            raise ConvergenceError("branch moved too far in one step")
-        slopes.append((inten, found_slope))
-        return found
-
-    start = np.array([levels[v].energy, levels[w].energy], dtype=complex)
-    yield from continuation([(0.0, start)], intensities, step)
+    return intensity_walk(model, lam, [levels[v].energy, levels[w].energy],
+                          np.asarray(intensities) * INTENSITY_UNIT, grid, n_blocks)
 
 
 def _taylor(det, e, h):
@@ -297,8 +266,6 @@ def refine_ep(model: MoleculeModel, candidate: EPCandidate,
             i0, pair, best_g, best_k = i, walked, g, k
         elif g > 3.0 * best_g and k >= 3:
             break
-    if pair is None:
-        raise ConvergenceError("no gap minimum along the intensity scan")
     e1, e2 = pair
 
     def det_at(lam, inten):

@@ -48,6 +48,7 @@ __all__ = [
     "continuation",
     "extrapolate",
     "find_resonance",
+    "intensity_walk",
     "ramp_resonance",
 ]
 
@@ -57,6 +58,7 @@ _MAX_SECANT = 50
 _IM_TOL = 1e-12        # tolerated positive imaginary part before rejection
 _MAX_STEP = 2e-3       # cap on a single secant step, hartree
 _MAX_SPLITS = 14       # step halvings allowed on the way to one continuation target
+_MAX_JUMP = 5e-4       # hartree, largest move of any root in one walk step
 # field-free system templates kept: each command and each loop, walk or ramp
 # builds on one (model, grid, blocks) at a time, and an older template would
 # only hold memory (1.6 MB at 2 blocks, 4.3 MB at 4 on the default grid)
@@ -69,7 +71,7 @@ class Resonance:
 
     energy: complex
     # the solve's last secant slope dD/dE, of the deflated function for a
-    # deflated root; None where no secant produced the energy
+    # deflated root; None where it is not known or not kept
     slope: complex | None = dataclasses.field(default=None,
                                               compare=False)
 
@@ -455,50 +457,29 @@ def extrapolate(points, t):
     return points[-1][1]
 
 
-def ramp_resonance(model: MoleculeModel, field: FieldPoint, e_start: complex,
-                   steps: int, grid: RadialGrid | None = None,
-                   n_blocks: int = 2) -> Resonance:
-    """Continue a resonance from e_start up to the intensity of ``field``.
-
-    The intensity rises in ``steps`` equal steps, I/steps .. I, at the
-    wavelength of ``field``; each solve is seeded by ``extrapolate`` on the
-    ramp so far, which starts at (I = 0, e_start), and from the second solve
-    on by the secant slope extrapolated from the earlier solves.  At I = 0 the one solve
-    starts from e_start.  Returns the resonance found at ``field``.
-    """
-    if steps < 1:
-        raise ModelError(f"steps must be at least 1, got {steps}")
-    points, slopes = [(0.0, complex(e_start))], []
-    ramp = (np.linspace(field.intensity / steps, field.intensity, steps)
-            if field.intensity else [0.0])
-    for inten in ramp:
-        system = build_system(model, FieldPoint(field.wavelength, inten), grid,
-                              n_blocks=n_blocks)
-        res = find_resonance(system, extrapolate(points, inten),
-                             slope=extrapolate(slopes, inten) if slopes else None)
-        points.append((inten, res.energy))
-        slopes.append((inten, res.slope))
-    return res
-
-
 def continuation(points: list, targets, step):
-    """Continue roots along one parameter t, halving steps that fail.
+    """Continue roots along one parameter t, predicting each step and
+    halving steps that fail.
 
     ``points`` holds the accepted (t, roots), the start first, and grows by
-    each accepted step.  For every target in turn, ``step(points, t)``
-    returns the roots at t or raises ConvergenceError; a failed t is
-    replaced by the midpoint back to the last accepted t.  A target within
-    1e-12 of the last accepted t counts as reached.  Yields the roots at
-    each reached target; more than _MAX_SPLITS failures on the way to one
-    target raise ConvergenceError.
+    each accepted step.  For every target in turn, ``step(t, guess, slope)``
+    returns (roots, slopes) at t or raises ConvergenceError; ``guess`` is
+    ``extrapolate(points, t)``, and ``slope`` the same extrapolation of the
+    slopes of accepted steps, None until one returned slopes.  A failed t
+    is replaced by the midpoint back to the last accepted t.  A target
+    within 1e-12 of the last accepted t counts as reached.  Yields the
+    roots at each reached target; more than _MAX_SPLITS failures on the
+    way to one target raise ConvergenceError.
     """
+    slopes = []               # (t, slopes) of the accepted steps that gave them
     for target in targets:
         pending = [target] if abs(target - points[-1][0]) >= 1e-12 else []
         splits = 0
         while pending:
             t = pending[-1]
             try:
-                roots = step(points, t)
+                roots, slope = step(t, extrapolate(points, t),
+                                    extrapolate(slopes, t) if slopes else None)
             except ConvergenceError as ex:
                 splits += 1
                 if splits > _MAX_SPLITS:
@@ -508,8 +489,61 @@ def continuation(points: list, targets, step):
                 pending.append(0.5 * (points[-1][0] + t))
                 continue
             points.append((t, roots))
+            if slope is not None:
+                slopes.append((t, slope))
             pending.pop()
         yield points[-1][1]
+
+
+def intensity_walk(model: MoleculeModel, wavelength: float, start, intensities,
+                   grid: RadialGrid | None = None, n_blocks: int = 2):
+    """Continue one or two resonances from their energies ``start`` at
+    I = 0 up ``intensities`` (W/cm^2) at fixed wavelength, on
+    ``continuation``; yields the roots, an array like ``start``, at each
+    intensity.  A second root is solved with the first deflated, and the
+    roots are assigned to the predicted ones by summed distance.  A step
+    fails when a solve fails, two roots cannot be told apart, or a root
+    moves farther than _MAX_JUMP.
+    """
+    points = [(0.0, np.array(start, dtype=complex))]
+
+    def step(inten, guess, slope):
+        system = build_system(model, FieldPoint(wavelength, inten), grid,
+                              n_blocks=n_blocks)
+        found = []
+        for g, s in zip(guess, [None] * len(guess) if slope is None else slope):
+            found.append(find_resonance(system, g, slope=s,
+                                        deflate=tuple(r.energy for r in found)))
+        roots = np.array([r.energy for r in found])
+        root_slopes = np.array([r.slope for r in found])
+        # assign found roots to predicted branches by summed distance
+        if np.abs(roots[::-1] - guess).sum() < np.abs(roots - guess).sum():
+            roots, root_slopes = roots[::-1], root_slopes[::-1]
+        if len(roots) == 2 and abs(roots[0] - roots[1]) < 1e-13:
+            raise ConvergenceError("resonances lost identity during continuation")
+        if np.abs(roots - points[-1][1]).max() > _MAX_JUMP:
+            raise ConvergenceError("branch moved too far in one step")
+        return roots, root_slopes
+
+    yield from continuation(points, intensities, step)
+
+
+def ramp_resonance(model: MoleculeModel, field: FieldPoint, e_start: complex,
+                   steps: int, grid: RadialGrid | None = None,
+                   n_blocks: int = 2) -> Resonance:
+    """The resonance at ``field``, continued from e_start at I = 0: the
+    one-root ``intensity_walk`` at its wavelength, in ``steps`` equal steps
+    I/steps .. I.  At I = 0 the one solve starts from e_start.
+    """
+    if steps < 1:
+        raise ModelError(f"steps must be at least 1, got {steps}")
+    if not field.intensity:
+        return find_resonance(build_system(model, field, grid, n_blocks=n_blocks),
+                              e_start)
+    *_, (energy,) = intensity_walk(
+        model, field.wavelength, [e_start],
+        np.linspace(field.intensity / steps, field.intensity, steps), grid, n_blocks)
+    return Resonance(complex(energy))
 
 
 def classify_resonance(model: MoleculeModel, field: FieldPoint, energy: complex,

@@ -28,8 +28,7 @@ import numpy as np
 
 from .bound_states import field_free_levels
 from .errors import ContinuationError, ConvergenceError, ModelError
-from .floquet import (build_system, classify_resonance, continuation, extrapolate,
-                      find_resonance)
+from .floquet import build_system, classify_resonance, continuation, find_resonance
 from .molecule import FieldPoint, RadialGrid
 from .units import FS_PER_AU_TIME, HARTREE_TO_INVCM, INTENSITY_UNIT
 
@@ -153,13 +152,12 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
                      n_blocks=2, reverse=False) -> Trajectory:
     """Transport the resonance that starts as level v_start around the loop.
 
-    Each angle step is seeded by quadratic extrapolation of the previous
-    three accepted points, and its secant by the same extrapolation of
-    their secant slopes; it runs on the step-halving driver
-    ``continuation``; a step fails whenever the solve misses the
-    extrapolation by more than _ACCEPT_FACTOR times the previous step's
-    miss (with the absolute floor _ACCEPT_FLOOR), which is what catches a
-    jump onto the wrong branch.  When the driver gives up, the run aborts
+    The angle steps run on the step-halving driver ``continuation``, which
+    seeds each solve and its secant by quadratic extrapolation of the last
+    three accepted points and secant slopes; a step fails whenever the
+    solve misses the extrapolation by more than _ACCEPT_FACTOR times the
+    previous step's miss (with the absolute floor _ACCEPT_FLOOR), which is
+    what catches a jump onto the wrong branch.  When the driver gives up, the run aborts
     with the partial trajectory attached.  The final field-free energy must
     match a field-free level to 1e-6 hartree; its index becomes v_end.
     """
@@ -187,22 +185,17 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
                                 energy=energy)
 
     prev_miss = _ACCEPT_FLOOR
-    slopes = []               # (phi, secant slope) of the accepted solves
 
-    def step(points, phi):
+    def step(phi, guess, slope):
         nonlocal prev_miss
-        guess = extrapolate(points, phi)
         system = build_system(model, loop_point(spec, phi), grid,
                               n_blocks=n_blocks)
-        res = find_resonance(system, guess,
-                             slope=extrapolate(slopes, phi) if slopes else None)
+        res = find_resonance(system, guess, slope=slope)
         miss = abs(res.energy - guess)
         if miss > max(_ACCEPT_FACTOR * prev_miss, _ACCEPT_FLOOR):
             raise ConvergenceError("continuity threshold tripped")
         prev_miss = max(miss, 1e-9)
-        if res.slope is not None:
-            slopes.append((phi, res.slope))
-        return res.energy
+        return res.energy, res.slope
 
     points = [(float(phis[0]), complex(levels[v_start].energy))]
     try:

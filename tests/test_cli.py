@@ -252,6 +252,30 @@ class TestConfigPrecedence:
                      "--out", str(tmp_path)]) == 2
         assert seen["reverse"] is True
 
+    @pytest.mark.parametrize("value, want", [
+        ("1", True), ("true", True), ("On", True),
+        ("no", False), ("0", False), ("false", False), ("OFF", False),
+        ("ture", None), ("", None)])
+    def test_bool_spellings(self, tmp_path, monkeypatch, capsys, value, want):
+        # a word outside both spellings is refused before any solve
+        seen = {}
+
+        def no_loop(*args, **kwargs):
+            seen.update(kwargs)
+            raise ModelError("stopped before the loop")
+
+        monkeypatch.setattr(cli, "follow_resonance", no_loop)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"reverse = {value}\n")
+        assert main(["loop", "--config", str(cfg), "--lambda0", "500",
+                     "--d-lambda", "2", "--i-max", "0.02", "--v-start", "2",
+                     "--out", str(tmp_path)]) == 2
+        if want is None:
+            assert seen == {}
+            assert f"bad value '{value}' for key 'reverse'" in capsys.readouterr().err
+        else:
+            assert seen["reverse"] is want
+
     def test_read_like_a_descriptor(self, tmp_path):
         # inline comments, and keys in any case
         cfg = tmp_path / "run.cfg"
@@ -311,6 +335,16 @@ class TestResonanceCommand:
         level = field_free_levels(load_molecule("h2plus"), RadialGrid())[5]
         assert res["energy_re_hartree"] == pytest.approx(level.energy, abs=1e-11)
         assert res["width_hartree"] < 1e-12
+
+    def test_coarse_four_block_ramp_stays_on_its_branch(self, tmp_path):
+        # 8 steps at 4 blocks are too coarse for v = 11 at this corner of the
+        # benchmark's seed ranges; the ramp halves the steps that jump
+        assert main(["resonance", "--n-blocks", "4", "--steps", "8",
+                     "--wavelength", "780", "--intensity", "1.2e12", "--v", "11",
+                     "--out", str(tmp_path)]) == 0
+        res = json.loads((tmp_path / "resonance.json").read_text())["results"]
+        energy = complex(res["energy_re_hartree"], res["energy_im_hartree"])
+        assert abs(energy - (-0.01746730072 - 3.62623782e-4j)) < 1e-9
 
 
 class TestEpWorkflow:

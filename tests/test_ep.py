@@ -142,7 +142,7 @@ class TestPairWalk:
 
     def test_one_step_splits_onto_the_stepped_walk(self, h2plus, monkeypatch):
         stepped = self.walk_to(h2plus, [0.02 * k for k in range(1, 11)])
-        systems = count_calls(monkeypatch, ep, "build_system")
+        systems = count_calls(monkeypatch, floquet, "build_system")
         direct = self.walk_to(h2plus, [0.2])
         assert systems[0] > 1
         assert max(abs(a - b) for a, b in zip(direct, stepped)) < 1e-10

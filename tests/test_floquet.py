@@ -16,6 +16,7 @@ from floqep.floquet import (
     build_system,
     classify_resonance,
     continuation,
+    extrapolate,
     find_resonance,
     ramp_resonance,
 )
@@ -341,6 +342,19 @@ class TestMultiBlock:
 
 
 class TestBandedDeterminant:
+    def test_ramp_halves_a_step_that_leaves_the_branch(self, h2plus, grid,
+                                                        free_levels):
+        # at this corner of the benchmark's seed ranges, 8 steps at 4 blocks
+        # are too coarse for v = 13: a step that moves the root more than
+        # 5e-4 hartree is halved, and the ramp lands on the 64-step ramp's
+        # root instead of one near -0.147 hartree
+        field = FieldPoint(796.0, 0.8e12)
+        e0 = free_levels[13].energy
+        res = ramp_resonance(h2plus, field, e0, 8, grid, n_blocks=4)
+        fine = ramp_resonance(h2plus, field, e0, 64, grid, n_blocks=4)
+        assert abs(res.energy - (-0.0085106707 - 2.59870e-4j)) < 1e-9
+        assert abs(res.energy - fine.energy) < 1e-10
+
     def test_frozen_four_block_root(self, h2plus, grid, free_levels):
         # reference value from the four-block ratio sweep this solver replaced
         res = ramp_resonance(h2plus, FieldPoint(788.2, 1e12),
@@ -575,18 +589,18 @@ class TestClassification:
 
 
 class ToyStep:
-    """A continuation step with no physics: the root at t is t**2, and the
-    calls numbered in ``fails`` raise instead."""
+    """A continuation step with no physics: the root at t is t**2, with no
+    slope, and the calls numbered in ``fails`` raise instead."""
 
     def __init__(self, fails=()):
         self.fails = set(fails)
         self.calls = []
 
-    def __call__(self, points, t):
+    def __call__(self, t, guess, slope):
         self.calls.append(t)
         if len(self.calls) in self.fails:
             raise ConvergenceError("toy step failed")
-        return t * t
+        return t * t, None
 
 
 class TestContinuation:
@@ -625,6 +639,24 @@ class TestContinuation:
         for _ in continuation([(0.0, 0.0)], [1.0, 2.0, 3.0], step):
             break
         assert step.calls == [1.0]
+
+    def test_step_gets_the_extrapolated_roots_and_slopes(self):
+        # the root at t is t**2; slopes 2t are returned from t = 2 on, and
+        # the first step to t = 3 fails, so nothing of it is kept
+        points, seen = [(0.0, 0.0)], []
+
+        def step(t, guess, slope):
+            assert guess == extrapolate(points, t)
+            seen.append((t, slope))
+            if len(seen) == 3:
+                raise ConvergenceError("toy step failed")
+            return t * t, (2.0 * t if t >= 2.0 else None)
+
+        assert list(continuation(points, [1.0, 2.0, 3.0, 4.0], step)) == pytest.approx(
+            [1.0, 4.0, 9.0, 16.0])
+        # the slopes extrapolate through the steps that returned one only
+        assert seen == [(1.0, None), (2.0, None), (3.0, 4.0), (2.5, 4.0),
+                        (3.0, 6.0), (4.0, 8.0)]
 
 
 class TestTabulatedDipole:
