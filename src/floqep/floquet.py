@@ -399,8 +399,13 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *,
     1e-8 fails to halve the one before it: the secant converges
     superlinearly there, so each step is far below half the previous one,
     and a step that does not halve is the rounding noise of the
-    determinant, not progress.  Both rules read the step just computed, so
-    the returned iterate is never evaluated.  The result carries the last
+    determinant, not progress.  Right after a Newton step of length N, it
+    also stops once the secant step s satisfies s**2 / N < 1e-13: with an
+    exact slope the Newton step leaves an error C N**2 (C = |D''/2D'|),
+    which s measures, and the secant's error recursion e2 ~ C e0 e1 then
+    leaves about C N s = s**2 / N; a wrong slope only makes s, and so the
+    bound, larger.  Every rule reads the step just computed, so the
+    returned iterate is never evaluated.  The result carries the last
     secant slope, which a continuation can extrapolate to seed its next
     solve.
     """
@@ -414,10 +419,11 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *,
     e0 = complex(e_guess)
     f0 = f(e0)
     step = -f0 / complex(slope) if slope else math.nan
-    e1 = e0 + (_capped(step) if cmath.isfinite(step) and step else 1e-9)
+    newton = _capped(step) if cmath.isfinite(step) and step else 0.0
+    e1 = e0 + (newton or 1e-9)
     f1 = f(e1)
     last = math.inf
-    for _ in range(_MAX_SECANT):
+    for i in range(_MAX_SECANT):
         denom = f1 - f0
         if denom == 0 or not (cmath.isfinite(f1) and cmath.isfinite(f0)):
             e1 += 1e-9 * (1 + abs(e1)) * (1 + 1j)
@@ -426,8 +432,10 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *,
         step = -f1 * (e1 - e0) / denom
         size = abs(step)
         floor = 0.5 * last <= size < _FLOOR_STEP
+        # right after a Newton step N, the secant step s leaves an error s**2 / N
+        sharp = i == 0 and size * size < 0.1 * _DE_TOL * abs(newton)
         last = size
-        if size < _DE_TOL or floor:
+        if size < _DE_TOL or floor or sharp:
             e = e1 + step
             if e.imag > _IM_TOL:
                 raise ConvergenceError(
@@ -547,20 +555,23 @@ def ramp_resonance(model: MoleculeModel, field: FieldPoint, e_start: complex,
 
 
 def classify_resonance(model: MoleculeModel, field: FieldPoint, energy: complex,
-                       grid: RadialGrid | None = None, n_blocks: int = 2) -> str:
+                       grid: RadialGrid | None = None, n_blocks: int = 2,
+                       slope: complex | None = None) -> str:
     """Feshbach/Shape character of the resonance at ``energy`` from how it
     moves under an intensity step of max(2 %, 1e9 W/cm^2).
 
-    Feshbach: position rises and width (-2 Im E) shrinks; Shape: the
-    opposite; anything mixed (the near-coalescence regime), or a probe step
-    that cannot be tracked, is Unclassified.
+    The stepped solve starts from ``energy``, seeded with ``slope``, the
+    secant slope of the solve that found it, when one is given.  Feshbach:
+    position rises and width (-2 Im E) shrinks; Shape: the opposite;
+    anything mixed (the near-coalescence regime), or a probe step that
+    cannot be tracked, is Unclassified.
     """
     stepped = build_system(
         model, FieldPoint(field.wavelength,
                           field.intensity + max(0.02 * field.intensity, 1e9)),
         grid, n_blocks)
     try:
-        moved = find_resonance(stepped, energy).energy - energy
+        moved = find_resonance(stepped, energy, slope=slope).energy - energy
     except ConvergenceError:
         return "Unclassified"
     if moved.real > 0 and moved.imag > 0:

@@ -117,6 +117,31 @@ class TrajectorySample:
         return self.width * HARTREE_TO_INVCM
 
 
+def _cumulative_integral(t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Integral of g from t[0] to each t[i], for increasing t at any spacing.
+
+    Each interval integrates the cubic through the four samples nearest it
+    (one-sided at the ends; the polynomial through all samples when there are
+    fewer than four) with two-point Gauss-Legendre, which is exact for a
+    cubic.  The rule is fourth order even where g has a kink in its periodic
+    extension, as the width does where a loop's pulse switches on and off.
+    """
+    k = min(4, len(t))
+    first = np.clip(np.arange(len(t) - 1) - 1, 0, len(t) - k)
+    nodes = first[:, None] + np.arange(k)
+    x, y = t[nodes], g[nodes]
+    mid, half = 0.5 * (t[1:] + t[:-1]), 0.5 * np.diff(t)
+    total = np.zeros_like(mid)
+    for z in (mid - half / math.sqrt(3.0), mid + half / math.sqrt(3.0)):
+        for m in range(k):
+            basis = np.ones_like(z)
+            for j in range(k):
+                if j != m:
+                    basis *= (z - x[:, j]) / (x[:, m] - x[:, j])
+            total += basis * y[:, m]
+    return np.concatenate([[0.0], np.cumsum(half * total)])
+
+
 @dataclass
 class Trajectory:
     """A resonance transported around one loop."""
@@ -135,13 +160,14 @@ class Trajectory:
     def p_nd(self) -> list[tuple[float, float]]:
         """Non-dissociated fraction (t_fs, P_ND) at each sample.
 
-        Trapezoidal integration of the width over time in atomic units.
+        exp(-integral of the width over time in atomic units), accumulated
+        sample by sample with the fourth-order rule of ``_cumulative_integral``.
         """
         t = np.array([s.t_fs for s in self.samples]) / FS_PER_AU_TIME
         g = np.array([s.width for s in self.samples])
         if np.any(g < 0.0):
             raise ModelError("negative width sample in trajectory")
-        acc = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))])
+        acc = _cumulative_integral(t, g)
         return [(s.t_fs, float(math.exp(-a))) for s, a in zip(self.samples, acc)]
 
     def survival_at_end(self) -> float:
@@ -159,7 +185,9 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
     previous step's miss (with the absolute floor _ACCEPT_FLOOR), which is
     what catches a jump onto the wrong branch.  When the driver gives up, the run aborts
     with the partial trajectory attached.  The final field-free energy must
-    match a field-free level to 1e-6 hartree; its index becomes v_end.
+    match a field-free level to 1e-6 hartree; its index becomes v_end.  The
+    characters at phi = pi/2, pi and 3pi/2 are classified from the nearest
+    samples, each probe seeded with that sample's secant slope.
     """
     grid = grid if grid is not None else RadialGrid()
     levels = field_free_levels(model, grid)
@@ -185,6 +213,7 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
                                 energy=energy)
 
     prev_miss = _ACCEPT_FLOOR
+    slopes = {}               # phi -> secant slope of the accepted solve there
 
     def step(phi, guess, slope):
         nonlocal prev_miss
@@ -195,6 +224,7 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
         if miss > max(_ACCEPT_FACTOR * prev_miss, _ACCEPT_FLOOR):
             raise ConvergenceError("continuity threshold tripped")
         prev_miss = max(miss, 1e-9)
+        slopes[phi] = res.slope
         return res.energy, res.slope
 
     points = [(float(phis[0]), complex(levels[v_start].energy))]
@@ -223,7 +253,8 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
         s = min(samples, key=lambda s: abs(s.phi - q))
         field_point = FieldPoint(s.wavelength, s.intensity * INTENSITY_UNIT)
         traj.characters.append(
-            (s.phi, classify_resonance(model, field_point, s.energy, grid, n_blocks)))
+            (s.phi, classify_resonance(model, field_point, s.energy, grid, n_blocks,
+                                       slope=slopes.get(s.phi))))
     return traj
 
 

@@ -427,7 +427,7 @@ class TestSecantFloor:
 
     def test_returned_energy_is_never_evaluated(self, h2plus, grid, free_levels,
                                                 monkeypatch):
-        # both stop rules read the step just computed, so the solve returns
+        # every stop rule reads the step just computed, so the solve returns
         # the next iterate without paying a determinant for it
         seen = []
         det = floquet.CoupledSystem.determinant
@@ -551,6 +551,48 @@ class TestSlopeSeed:
             rel=1e-4)
         # the slope is metadata: a result equals one without it
         assert r1 == Resonance(r1.energy)
+
+
+class TestNewtonFollowUpStop:
+    """After a slope-seeded Newton step of length N, the secant step s that
+    follows leaves an error of about s**2 / N; below 1e-13 the solve returns
+    without evaluating D again."""
+
+    INTENSITIES = (2e10, 4e10, 6e10, 8e10)
+
+    @pytest.fixture(scope="class")
+    def seeded(self, h2plus, grid, free_levels):
+        # three consecutive points of a ramp at 788.2 nm, probe-started,
+        # extrapolated to the fourth like a continuation step
+        found, guess = [], free_levels[12].energy
+        for inten in self.INTENSITIES[:3]:
+            res = find_resonance(build_system(h2plus, FieldPoint(788.2, inten), grid),
+                                 guess)
+            found.append(res)
+            guess = res.energy
+        target = self.INTENSITIES[3]
+        system = build_system(h2plus, FieldPoint(788.2, target), grid)
+        guess = extrapolate([(i, r.energy) for i, r in zip(self.INTENSITIES, found)],
+                            target)
+        slope = extrapolate([(i, r.slope) for i, r in zip(self.INTENSITIES, found)],
+                            target)
+        return system, guess, slope, find_resonance(system, guess).energy
+
+    def test_accurate_slope_stops_after_two_determinants(self, seeded):
+        system, guess, slope, root = seeded
+        spy = SpySystem(system)
+        res = find_resonance(spy, guess, slope=slope)
+        assert len(spy.seen) == 2
+        assert abs(res.energy - root) < 1e-13
+        assert res.energy not in spy.seen
+
+    @pytest.mark.parametrize("factor", [1e-3, 1e6])
+    def test_wrong_slope_does_not_stop_early(self, seeded, factor):
+        system, guess, slope, root = seeded
+        spy = SpySystem(system)
+        res = find_resonance(spy, guess, slope=factor * slope)
+        assert len(spy.seen) > 2
+        assert abs(res.energy - root) < 1e-13
 
 
 class TestClassification:

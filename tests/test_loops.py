@@ -152,6 +152,22 @@ class TestSurvivalQuadrature:
         assert p2 == pytest.approx(p1 ** 2, rel=1e-12)
         assert p3 == pytest.approx(p1 ** 3, rel=1e-12)
 
+    # measured 1.8e-9 and 1.1e-10: a sixteenth per step halving
+    @pytest.mark.parametrize("n_steps, rel", [(100, 5e-9), (200, 3e-10)])
+    def test_kinked_profile_is_fourth_order(self, n_steps, rel):
+        # Gamma = w0 sin(phi/2) rises from 0 and returns to 0 with the
+        # opposite slope, so its periodic extension has a kink at the loop's
+        # ends and the trapezoid rule is only second order on it (9.7e-6 and
+        # 2.4e-6 relative at the end).  The integral to phase phi is
+        # w0 t_f/pi (1 - cos(phi/2))
+        w0, t_f = 1.5e-4, 30.0
+        traj = synthetic_trajectory(lambda phi: w0 * math.sin(0.5 * phi),
+                                    t_f=t_f, n_steps=n_steps)
+        t_au = t_f / FS_PER_AU_TIME
+        for s, (_, p) in zip(traj.samples, traj.p_nd):
+            exact = math.exp(-w0 * t_au / math.pi * (1.0 - math.cos(0.5 * s.phi)))
+            assert p == pytest.approx(exact, rel=rel)
+
     def test_negative_width_rejected(self):
         traj = synthetic_trajectory(lambda phi: -1e-5)
         with pytest.raises(ModelError, match="negative width"):
@@ -209,19 +225,33 @@ class TestFollowWeakLoop:
 
     def test_determinant_budget(self, h2plus, traj, monkeypatch):
         # 100 steps and 3 classification solves; each step's secant starts
-        # from the slope extrapolated along the loop, not from a 1e-9 probe.
-        # Measured 214; the probe start took 313
-        calls = [0]
+        # from the slope extrapolated along the loop, and each classification
+        # from the slope of the sample it steps from, not from a 1e-9 probe.
+        # A Newton step that leaves a secant step s with s**2 / N below
+        # 1e-13 ends the solve without a third determinant.  Measured 208;
+        # the probe start took 313
+        seen = []
         det = floquet.CoupledSystem.determinant
 
         def counted(self, e):
-            calls[0] += 1
+            seen.append(e)
             return det(self, e)
 
+        starts = []
+        solve = floquet.find_resonance
+
+        def classify_probe(system, e_guess, **kwargs):
+            starts.append(len(seen))
+            return solve(system, e_guess, **kwargs)
+
         monkeypatch.setattr(floquet.CoupledSystem, "determinant", counted)
+        monkeypatch.setattr(floquet, "find_resonance", classify_probe)
         again = follow_resonance(h2plus, self.SPEC, 2)
-        assert calls[0] <= 214
+        assert len(seen) <= 208
         assert again.v_end == traj.v_end
+        assert len(starts) == 3
+        for k in starts:
+            assert seen[k + 1] != seen[k] + 1e-9
 
 
 def fail_solves(monkeypatch, fails):
