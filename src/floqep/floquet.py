@@ -58,7 +58,8 @@ _MAX_SECANT = 50
 _IM_TOL = 1e-12        # tolerated positive imaginary part before rejection
 _MAX_STEP = 2e-3       # cap on a single secant step, hartree
 _MAX_SPLITS = 14       # step halvings allowed on the way to one continuation target
-_MAX_JUMP = 5e-4       # hartree, largest move of any root in one walk step
+_ACCEPT_FACTOR = 5.0   # a continuation step fails on a miss from its prediction
+_ACCEPT_FLOOR = 1e-4   # above max(5 x the last accepted miss, 1e-4 hartree)
 # field-free system templates kept: each command and each loop, walk or ramp
 # builds on one (model, grid, blocks) at a time, and an older template would
 # only hold memory (1.6 MB at 2 blocks, 4.3 MB at 4 on the default grid)
@@ -419,7 +420,7 @@ def find_resonance(system: CoupledSystem, e_guess: complex, *,
     e0 = complex(e_guess)
     f0 = f(e0)
     step = -f0 / complex(slope) if slope else math.nan
-    newton = _capped(step) if cmath.isfinite(step) and step else 0.0
+    newton = _capped(step) if cmath.isfinite(step) and abs(step) >= _DE_TOL else 0.0
     e1 = e0 + (newton or 1e-9)
     f1 = f(e1)
     last = math.inf
@@ -471,23 +472,32 @@ def continuation(points: list, targets, step):
 
     ``points`` holds the accepted (t, roots), the start first, and grows by
     each accepted step.  For every target in turn, ``step(t, guess, slope)``
-    returns (roots, slopes) at t or raises ConvergenceError; ``guess`` is
-    ``extrapolate(points, t)``, and ``slope`` the same extrapolation of the
-    slopes of accepted steps, None until one returned slopes.  A failed t
-    is replaced by the midpoint back to the last accepted t.  A target
-    within 1e-12 of the last accepted t counts as reached.  Yields the
-    roots at each reached target; more than _MAX_SPLITS failures on the
-    way to one target raise ConvergenceError.
+    returns (roots, slopes) at t, the roots in the order of ``guess``, or
+    raises ConvergenceError; ``guess`` is ``extrapolate(points, t)``, and
+    ``slope`` the same extrapolation of the slopes of accepted steps, None
+    until one returned slopes.  A step also fails when its miss, the largest
+    |root - guess|, exceeds max(_ACCEPT_FACTOR * the last accepted miss,
+    _ACCEPT_FLOOR).  A failed t is replaced by the midpoint back to the last
+    accepted t.  A target within 1e-12 of the last accepted t counts as
+    reached.  Yields the roots at each reached target; more than
+    _MAX_SPLITS failures on the way to one target raise ConvergenceError.
     """
     slopes = []               # (t, slopes) of the accepted steps that gave them
+    prev_miss = _ACCEPT_FLOOR
     for target in targets:
         pending = [target] if abs(target - points[-1][0]) >= 1e-12 else []
         splits = 0
         while pending:
             t = pending[-1]
+            guess = extrapolate(points, t)
             try:
-                roots, slope = step(t, extrapolate(points, t),
+                roots, slope = step(t, guess,
                                     extrapolate(slopes, t) if slopes else None)
+                miss = np.abs(np.subtract(roots, guess)).max()
+                limit = max(_ACCEPT_FACTOR * prev_miss, _ACCEPT_FLOOR)
+                if miss > limit:
+                    raise ConvergenceError(f"the roots at t = {t:.6g} missed their "
+                                           f"prediction by {miss:.3e} (limit {limit:.3e})")
             except ConvergenceError as ex:
                 splits += 1
                 if splits > _MAX_SPLITS:
@@ -496,6 +506,7 @@ def continuation(points: list, targets, step):
                         "restart with smaller steps") from ex
                 pending.append(0.5 * (points[-1][0] + t))
                 continue
+            prev_miss = max(miss, 1e-9)
             points.append((t, roots))
             if slope is not None:
                 slopes.append((t, slope))
@@ -511,7 +522,7 @@ def intensity_walk(model: MoleculeModel, wavelength: float, start, intensities,
     intensity.  A second root is solved with the first deflated, and the
     roots are assigned to the predicted ones by summed distance.  A step
     fails when a solve fails, two roots cannot be told apart, or a root
-    moves farther than _MAX_JUMP.
+    misses its prediction by more than the driver's limit.
     """
     points = [(0.0, np.array(start, dtype=complex))]
 
@@ -529,8 +540,6 @@ def intensity_walk(model: MoleculeModel, wavelength: float, start, intensities,
             roots, root_slopes = roots[::-1], root_slopes[::-1]
         if len(roots) == 2 and abs(roots[0] - roots[1]) < 1e-13:
             raise ConvergenceError("resonances lost identity during continuation")
-        if np.abs(roots - points[-1][1]).max() > _MAX_JUMP:
-            raise ConvergenceError("branch moved too far in one step")
         return roots, root_slopes
 
     yield from continuation(points, intensities, step)

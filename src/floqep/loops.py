@@ -36,10 +36,6 @@ from .units import FS_PER_AU_TIME, HARTREE_TO_INVCM, INTENSITY_UNIT
 # transport picture; emit a warning but run anyway
 ADIABATIC_TF_FS = 30.0
 
-# a loop step fails on a miss above max(_ACCEPT_FACTOR * last miss, _ACCEPT_FLOOR)
-_ACCEPT_FACTOR = 5.0
-_ACCEPT_FLOOR = 1e-4
-
 
 @dataclass(frozen=True)
 class LoopSpec:
@@ -180,10 +176,10 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
 
     The angle steps run on the step-halving driver ``continuation``, which
     seeds each solve and its secant by quadratic extrapolation of the last
-    three accepted points and secant slopes; a step fails whenever the
-    solve misses the extrapolation by more than _ACCEPT_FACTOR times the
-    previous step's miss (with the absolute floor _ACCEPT_FLOOR), which is
-    what catches a jump onto the wrong branch.  When the driver gives up, the run aborts
+    three accepted points and secant slopes, and fails a step whose solve
+    misses that extrapolation by more than 5 times the previous step's miss
+    (and more than 1e-4 hartree), which is what catches a jump onto the
+    wrong branch.  When the driver gives up, the run aborts
     with the partial trajectory attached.  The final field-free energy must
     match a field-free level to 1e-6 hartree; its index becomes v_end.  The
     characters at phi = pi/2, pi and 3pi/2 are classified from the nearest
@@ -212,18 +208,12 @@ def follow_resonance(model, spec: LoopSpec, v_start: int, grid=None, *,
                                 intensity=fp.intensity / INTENSITY_UNIT,
                                 energy=energy)
 
-    prev_miss = _ACCEPT_FLOOR
-    slopes = {}               # phi -> secant slope of the accepted solve there
+    slopes = {}               # phi -> secant slope of the latest solve there
 
     def step(phi, guess, slope):
-        nonlocal prev_miss
         system = build_system(model, loop_point(spec, phi), grid,
                               n_blocks=n_blocks)
         res = find_resonance(system, guess, slope=slope)
-        miss = abs(res.energy - guess)
-        if miss > max(_ACCEPT_FACTOR * prev_miss, _ACCEPT_FLOOR):
-            raise ConvergenceError("continuity threshold tripped")
-        prev_miss = max(miss, 1e-9)
         slopes[phi] = res.slope
         return res.energy, res.slope
 

@@ -130,8 +130,8 @@ class TestWorkBudget:
 
 
 class TestPairWalk:
-    """The seed walk halves a step that moves a root too far and gives up
-    once a requested intensity has used its split budget."""
+    """The seed walk halves a step whose roots miss their prediction too far
+    and gives up once a requested intensity has used its split budget."""
 
     LAM = 635.9598      # the (12,13) seed of the 596-655 nm window
 
@@ -146,6 +146,17 @@ class TestPairWalk:
         direct = self.walk_to(h2plus, [0.2])
         assert systems[0] > 1
         assert max(abs(a - b) for a, b in zip(direct, stepped)) < 1e-10
+
+    def test_a_well_predicted_fast_move_is_not_split(self, h2plus, monkeypatch):
+        # near the gap minimum the pair moves by more than 5e-4 hartree per
+        # step, but along its prediction: 12 steps build 12 systems
+        systems = count_calls(monkeypatch, floquet, "build_system")
+        coarse = list(ep._walk_pair(h2plus, (12, 13), self.LAM,
+                                    [0.02 * k for k in range(1, 13)], None, 2))
+        assert systems[0] == 12
+        fine = list(ep._walk_pair(h2plus, (12, 13), self.LAM,
+                                  [0.005 * k for k in range(1, 49)], None, 2))
+        assert max(np.abs(a - b).max() for a, b in zip(coarse, fine[3::4])) < 1e-11
 
     def test_split_budget_exhausted_raises(self, h2plus, monkeypatch):
         monkeypatch.setattr(floquet, "_MAX_SPLITS", 1)

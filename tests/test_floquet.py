@@ -552,6 +552,28 @@ class TestSlopeSeed:
         # the slope is metadata: a result equals one without it
         assert r1 == Resonance(r1.energy)
 
+    def test_newton_step_below_rounding_starts_the_probe(self, h2plus, grid,
+                                                         free_levels):
+        # a ramp extrapolated from 1.0, 1.1 and 1.2e10 to 1.3e10 W/cm^2 with
+        # its slope a million times too steep: the Newton step, about 2e-18,
+        # is no second point, and stopping on it lands 2.6e-12 off the root
+        intensities = (1.0e10, 1.1e10, 1.2e10, 1.3e10)
+        found, guess = [], free_levels[12].energy
+        for inten in intensities[:3]:
+            found.append(find_resonance(build_system(h2plus, FieldPoint(788.2, inten),
+                                                     grid), guess))
+            guess = found[-1].energy
+        system = build_system(h2plus, FieldPoint(788.2, intensities[3]), grid)
+        guess = extrapolate([(i, r.energy) for i, r in zip(intensities, found)],
+                            intensities[3])
+        slope = extrapolate([(i, r.slope) for i, r in zip(intensities, found)],
+                            intensities[3])
+        probe, seeded = SpySystem(system), SpySystem(system)
+        ref = find_resonance(probe, guess)
+        res = find_resonance(seeded, guess, slope=1e6 * slope)
+        assert seeded.seen == probe.seen
+        assert abs(res.energy - ref.energy) < 1e-13
+
 
 class TestNewtonFollowUpStop:
     """After a slope-seeded Newton step of length N, the secant step s that
@@ -646,6 +668,12 @@ class ToyStep:
 
 
 class TestContinuation:
+    @pytest.fixture(autouse=True)
+    def no_accept_floor(self, monkeypatch):
+        # the toy roots t**2 move by order 1 per step, far above the
+        # hartree-scale accept rule, which TestAcceptRule tests on its own
+        monkeypatch.setattr(floquet, "_ACCEPT_FLOOR", np.inf)
+
     def test_failed_step_is_retried_at_the_midpoint(self):
         step = ToyStep(fails={1})
         points = [(0.0, 0.0)]
@@ -699,6 +727,56 @@ class TestContinuation:
         # the slopes extrapolate through the steps that returned one only
         assert seen == [(1.0, None), (2.0, None), (3.0, 4.0), (2.5, 4.0),
                         (3.0, 6.0), (4.0, 8.0)]
+
+
+class OffsetStep:
+    """A continuation step whose roots land ``offsets[n]`` hartree off the
+    prediction on call n (numbered from 1), and on it elsewhere."""
+
+    def __init__(self, offsets):
+        self.offsets = offsets
+        self.calls = []
+
+    def __call__(self, t, guess, slope):
+        self.calls.append(t)
+        return guess + self.offsets.get(len(self.calls), 0.0), None
+
+
+class TestAcceptRule:
+    """The driver fails a step whose largest miss from the prediction
+    exceeds max(5 x the last accepted miss, 1e-4 hartree)."""
+
+    def test_a_root_far_off_its_prediction_is_split(self):
+        # the second root of the pair lands 1e-3 off on the step to t = 2
+        step = OffsetStep({2: np.array([0.0, 1e-3])})
+        points = [(0.0, np.array([-0.01, -0.012]))]
+        assert len(list(continuation(points, [1.0, 2.0], step))) == 2
+        assert step.calls == [1.0, 2.0, 1.5, 2.0]
+        assert [t for t, _ in points] == [0.0, 1.0, 1.5, 2.0]
+
+    def test_the_first_limit_is_five_floors(self, monkeypatch):
+        monkeypatch.setattr(floquet, "_MAX_SPLITS", 0)
+        assert list(continuation([(0.0, -0.01)], [1.0], OffsetStep({1: 4.9e-4})))
+        with pytest.raises(ConvergenceError,
+                           match=r"t = 1 missed their prediction by 5\.100e-04 "
+                                 r"\(limit 5\.000e-04\)"):
+            list(continuation([(0.0, -0.01)], [1.0], OffsetStep({1: 5.1e-4})))
+
+    @pytest.mark.parametrize("miss, ratio, accepted", [
+        (4e-4, 4.9, True), (4e-4, 5.1, False),      # 5x the last miss
+        (1e-6, 90.0, True), (1e-6, 110.0, False),   # the 1e-4 floor
+    ])
+    def test_the_limit_follows_the_last_accepted_miss(self, miss, ratio, accepted):
+        step = OffsetStep({1: miss, 2: ratio * miss})
+        list(continuation([(0.0, -0.01)], [1.0, 2.0], step))
+        assert step.calls == ([1.0, 2.0] if accepted else [1.0, 2.0, 1.5, 2.0])
+
+    def test_a_rejected_step_leaves_the_limit(self):
+        # after a miss of 4e-4 the limit is 2e-3; the rejected miss of 3e-3
+        # does not raise it, so 2.5e-3 at the midpoint is rejected as well
+        step = OffsetStep({1: 4e-4, 2: 3e-3, 3: 2.5e-3, 4: 1.9e-3})
+        list(continuation([(0.0, -0.01)], [1.0, 2.0], step))
+        assert step.calls == [1.0, 2.0, 1.5, 1.25, 1.5, 2.0]
 
 
 class TestTabulatedDipole:
